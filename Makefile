@@ -68,12 +68,14 @@ soak:
 soak-smoke:
 	$(GO) run ./cmd/soak -storms 6 -steps 120 -workers 4 -verify -log soak-events.log
 
-# One iteration of the scanning-engine and keyfinder benchmarks under the
-# race detector: exercises the sharded scan, the incremental rescan and the
-# chunked factor scan concurrency without any timing sensitivity, so it
-# catches concurrency bit-rot in CI (DESIGN.md §9). CI runs this on each PR.
+# One iteration of the scanning-engine, keyfinder and per-level server
+# connect benchmarks under the race detector: exercises the sharded scan,
+# the incremental rescan and the chunked factor scan concurrency without any
+# timing sensitivity, so it catches concurrency bit-rot in CI (DESIGN.md
+# §9), and keeps the sshd/httpd connect benches at every measured level
+# from rotting. CI runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan' -benchtime=1x .
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkSSHConnectPerLevel|BenchmarkHTTPDConnectPerLevel' -benchtime=1x .
 
 # The published fleet bench trajectory (EXPERIMENTS.md "Benchmark JSON
 # format"): event engine vs per-tick loop baseline at 10k and 100k

@@ -276,19 +276,30 @@ func BenchmarkMemoryScanDirty32MB(b *testing.B) {
 	}
 }
 
+// perLevelMachine boots the per-level connect benchmarks' 64 MB machine
+// with a 512-bit key installed, returning the key's path.
+func perLevelMachine(b *testing.B, level Protection) (*Machine, string) {
+	b.Helper()
+	m, err := NewMachine(MachineConfig{MemoryMB: 64, Protection: level, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, err := m.InstallKey("/k.pem", 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, key.Path
+}
+
+// BenchmarkSSHConnectPerLevel measures one connect + disconnect — the
+// re-exec or fork, the RSA-CRT handshake and the session state — at the
+// paper's two endpoints and the sealed level.
 func BenchmarkSSHConnectPerLevel(b *testing.B) {
-	for _, level := range []Protection{ProtectionNone, ProtectionIntegrated} {
+	for _, level := range []Protection{ProtectionNone, ProtectionIntegrated, ProtectionSealed} {
 		level := level
 		b.Run(level.String(), func(b *testing.B) {
-			m, err := NewMachine(MachineConfig{MemoryMB: 64, Protection: level, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			key, err := m.InstallKey("/k.pem", 512)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv, err := m.StartSSH(level, key.Path)
+			m, keyPath := perLevelMachine(b, level)
+			srv, err := m.StartSSH(level, keyPath)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -296,6 +307,34 @@ func BenchmarkSSHConnectPerLevel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				id, err := srv.Connect()
 				if err != nil {
+					b.Fatal(err)
+				}
+				if err := srv.Disconnect(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHTTPDConnectPerLevel is the prefork sibling: connect (TLS
+// handshake in a worker), one 4 KiB request, disconnect.
+func BenchmarkHTTPDConnectPerLevel(b *testing.B) {
+	for _, level := range []Protection{ProtectionNone, ProtectionIntegrated, ProtectionSealed} {
+		level := level
+		b.Run(level.String(), func(b *testing.B) {
+			m, keyPath := perLevelMachine(b, level)
+			srv, err := m.StartApache(level, keyPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id, err := srv.Connect()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := srv.Request(id, 4096); err != nil {
 					b.Fatal(err)
 				}
 				if err := srv.Disconnect(id); err != nil {

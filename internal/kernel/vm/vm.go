@@ -101,17 +101,6 @@ func (s *AddressSpace) VMAs() []*VMA {
 	return out
 }
 
-// MappedPages returns the number of resident (present) pages.
-func (s *AddressSpace) MappedPages() int {
-	n := 0
-	for _, e := range s.pt {
-		if e.present {
-			n++
-		}
-	}
-	return n
-}
-
 // Manager owns every address space on the machine plus the swap area.
 type Manager struct {
 	mem    *mem.Memory

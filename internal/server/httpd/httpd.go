@@ -151,6 +151,9 @@ type Server struct {
 	conns    map[int]*worker
 	nextConn int
 	nonce    int64
+	// scratch backs every payload the server writes into simulated memory
+	// (see fill); heap writes copy it, so one buffer serves all of them.
+	scratch []byte
 
 	stats   Stats
 	status  *protect.Status
@@ -430,9 +433,7 @@ func (s *Server) noteSealCompromise() {
 func (s *Server) handshake(w *worker) error {
 	s.nonce++
 	pub := w.key.pub
-	rng := stats.NewRand(s.nonce)
-	premaster := make([]byte, pub.N.BitLen()/8-1)
-	rng.Read(premaster)
+	premaster := s.fill(pub.N.BitLen()/8 - 1)
 	premaster[0] &= 0x7F
 	m := new(big.Int).SetBytes(premaster)
 	blob := new(big.Int).Exp(m, pub.E, pub.N)
@@ -445,6 +446,18 @@ func (s *Server) handshake(w *worker) error {
 	}
 	s.stats.Handshakes++
 	return nil
+}
+
+// fill returns the first n bytes of the scratch buffer (grown on demand)
+// filled with the current nonce's stream. The slice is only valid until the
+// next fill.
+func (s *Server) fill(n int) []byte {
+	if cap(s.scratch) < n {
+		s.scratch = make([]byte, n)
+	}
+	b := s.scratch[:n]
+	stats.Fill(b, s.nonce)
+	return b
 }
 
 // Request serves one HTTPS request of n response bytes on the connection,
@@ -465,10 +478,8 @@ func (s *Server) Request(connID, n int) error {
 		if err != nil {
 			return fmt.Errorf("httpd: request: %w", err)
 		}
-		payload := make([]byte, sz)
 		s.nonce++
-		stats.NewRand(s.nonce).Read(payload)
-		if err := w.heap.Write(buf, payload); err != nil {
+		if err := w.heap.Write(buf, s.fill(sz)); err != nil {
 			return err
 		}
 		if err := w.heap.Free(buf); err != nil {

@@ -447,3 +447,30 @@ func TestConnectOutOfMemoryFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRequestAllocationCeiling gates the hot path on a count that does not
+// depend on timing. The payload is filled in place in the server's scratch
+// buffer, so a 4 KiB request allocates nothing of its own: levels whose
+// heap keeps the freed buffer allocate 0 objects per op. At the aligned
+// levels the free trims the heap top and the next request re-maps it; that
+// bookkeeping (19 of the objects are vm.MapAnon's page-table entries and
+// VMA) is the whole remaining count, gated at its measured 23.
+func TestRequestAllocationCeiling(t *testing.T) {
+	const ceiling = 23
+	for _, level := range protect.All() {
+		r := newRig(t, level)
+		s := r.start(t, level)
+		id, err := s.Connect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(50, func() {
+			if err := s.Request(id, 4096); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > ceiling || (level == protect.LevelNone && n != 0) {
+			t.Errorf("%v: 4 KiB Request allocated %v objects per op (ceiling %d, 0 at level none)", level, n, ceiling)
+		}
+	}
+}

@@ -127,6 +127,9 @@ type Server struct {
 	conns    map[int]*conn
 	nextConn int
 	nonce    int64
+	// scratch backs every payload the server writes into simulated memory
+	// (see fill); heap writes copy it, so one buffer serves all of them.
+	scratch []byte
 
 	stats   Stats
 	status  *protect.Status
@@ -340,9 +343,7 @@ func (s *Server) Connect() (int, error) {
 	if err != nil {
 		return abort(fmt.Errorf("sshd: connect: %w", err))
 	}
-	junk := make([]byte, s.cfg.SessionBufferBytes)
-	stats.NewRand(s.nonce).Read(junk)
-	if err := c.heap.Write(sess, junk); err != nil {
+	if err := c.heap.Write(sess, s.fill(s.cfg.SessionBufferBytes)); err != nil {
 		return abort(err)
 	}
 	s.nextConn++
@@ -373,9 +374,7 @@ func (s *Server) noteSealCompromise() {
 func (s *Server) handshake(c *conn) error {
 	s.nonce++
 	pub := c.key.pub
-	rng := stats.NewRand(s.nonce)
-	exchangeHash := make([]byte, 32)
-	rng.Read(exchangeHash)
+	exchangeHash := s.fill(32)
 	em, err := rsakey.EncodePKCS1v15(exchangeHash, (pub.N.BitLen()+7)/8)
 	if err != nil {
 		return fmt.Errorf("sshd: handshake: %w", err)
@@ -389,6 +388,18 @@ func (s *Server) handshake(c *conn) error {
 	}
 	s.stats.Handshakes++
 	return nil
+}
+
+// fill returns the first n bytes of the scratch buffer (grown on demand)
+// filled with the current nonce's stream. The slice is only valid until the
+// next fill.
+func (s *Server) fill(n int) []byte {
+	if cap(s.scratch) < n {
+		s.scratch = make([]byte, n)
+	}
+	b := s.scratch[:n]
+	stats.Fill(b, s.nonce)
+	return b
 }
 
 // Transfer moves n payload bytes over a connection, churning heap buffers
@@ -410,10 +421,8 @@ func (s *Server) Transfer(connID, n int) error {
 		if err != nil {
 			return fmt.Errorf("sshd: transfer: %w", err)
 		}
-		payload := make([]byte, sz)
 		s.nonce++
-		stats.NewRand(s.nonce).Read(payload)
-		if err := c.heap.Write(buf, payload); err != nil {
+		if err := c.heap.Write(buf, s.fill(sz)); err != nil {
 			return err
 		}
 		if err := c.heap.Free(buf); err != nil {

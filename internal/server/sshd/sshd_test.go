@@ -343,3 +343,26 @@ func TestConnectOutOfMemoryFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTransferAllocatesNothing gates the hot path on a count that does not
+// depend on timing: with the payload filled in place in the server's
+// scratch buffer, a 4 KiB transfer on an open connection allocates no Go
+// object at any level.
+func TestTransferAllocatesNothing(t *testing.T) {
+	for _, level := range protect.All() {
+		r := newRig(t, level)
+		s := r.start(t, level)
+		id, err := s.Connect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(50, func() {
+			if err := s.Transfer(id, 4096); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("%v: 4 KiB Transfer allocated %v objects per op, want 0", level, n)
+		}
+	}
+}

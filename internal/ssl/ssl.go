@@ -438,9 +438,6 @@ func (r *RSA) SealAtRest(prekeyRand io.Reader, inj *fault.Injector, opts ...seal
 	return nil
 }
 
-// SealedAtRest reports whether the key is sealed between operations.
-func (r *RSA) SealedAtRest() bool { return r.sealed != nil }
-
 // SealCompromised reports whether a failed reseal destroyed the sealed
 // region (the key is gone; its pages were scrubbed, never left plaintext),
 // and the original cause.
@@ -449,14 +446,6 @@ func (r *RSA) SealCompromised() (bool, error) {
 		return false, nil
 	}
 	return r.sealed.Destroyed()
-}
-
-// SealStats returns the sealed region's window counters (zero if unsealed).
-func (r *RSA) SealStats() seal.Stats {
-	if r.sealed == nil {
-		return seal.Stats{}
-	}
-	return r.sealed.Stats()
 }
 
 // withKey runs fn on the materialized host-side key, inside the seal

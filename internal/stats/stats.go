@@ -5,6 +5,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
@@ -30,6 +31,32 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
+}
+
+// Fill overwrites b with the splitmix64 stream for seed: word i is
+// mix64(seed + (i+1)*golden), written little-endian, so a shorter fill is
+// always a prefix of a longer one. It allocates nothing and costs one mix64
+// per 8 bytes, where seeding a math/rand source costs a 4.9 KB state and
+// hundreds of steps.
+//
+// Fill is the simulated servers' payload and nonce filler (session junk,
+// transfer and request payloads, handshake nonces). It is never a key
+// source: key generation and sealing prekeys use NewReader.
+func Fill(b []byte, seed int64) {
+	x := uint64(seed)
+	for len(b) >= 8 {
+		x += golden
+		binary.LittleEndian.PutUint64(b, mix64(x))
+		b = b[8:]
+	}
+	if len(b) > 0 {
+		x += golden
+		v := mix64(x)
+		for i := range b {
+			b[i] = byte(v)
+			v >>= 8
+		}
+	}
 }
 
 // DeriveSeed derives an independent RNG stream seed from a base seed and a

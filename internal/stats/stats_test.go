@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -116,5 +118,68 @@ func TestDeterministicRand(t *testing.T) {
 		if b1[i] != b2[i] {
 			t.Fatal("NewReader not deterministic")
 		}
+	}
+}
+
+func TestFillDeterministic(t *testing.T) {
+	a, b, c := make([]byte, 1000), make([]byte, 1000), make([]byte, 1000)
+	Fill(a, 42)
+	Fill(b, 42)
+	Fill(c, 43)
+	if !bytes.Equal(a, b) {
+		t.Fatal("same seed must give the same bytes")
+	}
+	if bytes.Equal(a, c) {
+		t.Fatal("different seeds must give different bytes")
+	}
+}
+
+// TestFillReferenceVector pins the stream to the published splitmix64
+// reference: seed 0's first output is 0xe220a8397b1dcdaf.
+func TestFillReferenceVector(t *testing.T) {
+	b := make([]byte, 8)
+	Fill(b, 0)
+	if got := binary.LittleEndian.Uint64(b); got != 0xe220a8397b1dcdaf {
+		t.Fatalf("first word = %#x, want 0xe220a8397b1dcdaf", got)
+	}
+}
+
+func TestFillPrefix(t *testing.T) {
+	long := make([]byte, 64)
+	Fill(long, 2007)
+	for n := 0; n <= len(long); n++ {
+		short := make([]byte, n)
+		Fill(short, 2007)
+		if !bytes.Equal(short, long[:n]) {
+			t.Fatalf("Fill of %d bytes is not a prefix of the 64-byte fill", n)
+		}
+	}
+}
+
+// TestFillAdjacentSeedsNotShifted: the servers fill with consecutive
+// nonces, so seeds s and s+1 must not yield one stream shifted by a few
+// words. mix64 is a bijection, so any shared word means shared state.
+func TestFillAdjacentSeedsNotShifted(t *testing.T) {
+	const size = 32 * 1024
+	for _, s := range []int64{0, 2007, -1, math.MaxInt64} {
+		a, b := make([]byte, size), make([]byte, size)
+		Fill(a, s)
+		Fill(b, s+1)
+		words := make(map[uint64]bool, size/8)
+		for i := 0; i < size; i += 8 {
+			words[binary.LittleEndian.Uint64(a[i:])] = true
+		}
+		for i := 0; i < size; i += 8 {
+			if words[binary.LittleEndian.Uint64(b[i:])] {
+				t.Fatalf("seeds %d and %d share word %d of a %d-byte fill", s, s+1, i/8, size)
+			}
+		}
+	}
+}
+
+func TestFillAllocatesNothing(t *testing.T) {
+	buf := make([]byte, 4099)
+	if n := testing.AllocsPerRun(100, func() { Fill(buf, 7) }); n != 0 {
+		t.Fatalf("Fill allocated %v objects per call, want 0", n)
 	}
 }
