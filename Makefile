@@ -79,7 +79,8 @@ bench-smoke:
 
 # The published fleet bench trajectory (EXPERIMENTS.md "Benchmark JSON
 # format"): event engine vs per-tick loop baseline at 10k and 100k
-# connections plus the opt-in 1M timeline, converted to BENCH_10.json by
+# connections, the scanned sealed httpd fleet at 10k (every machine
+# scanned every tick) and the opt-in 1M timeline, converted to BENCH_10.json by
 # cmd/benchjson. Single-iteration runs — the workloads are deterministic,
 # so one iteration is the measurement.
 bench-json:

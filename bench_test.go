@@ -9,10 +9,14 @@ import (
 	"flag"
 	"testing"
 
+	"memshield/internal/crypto/rsakey"
 	"memshield/internal/figures"
+	"memshield/internal/fleet"
+	"memshield/internal/kernel"
 	"memshield/internal/mem"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
+	"memshield/internal/stats"
 	"memshield/internal/workload"
 )
 
@@ -225,7 +229,8 @@ func benchScanMachine(b *testing.B) (*Machine, *Key) {
 
 // BenchmarkMemoryScan32MB measures Machine.Scan as callers see it: the
 // machine's per-key scanner is incremental, so with no writes between
-// iterations each scan after the first costs O(dirty pages) = O(1).
+// iterations each scan after the first re-walks no frame and costs one
+// pass over the match bitmap plus the classification of the matches.
 func BenchmarkMemoryScan32MB(b *testing.B) {
 	m, key := benchScanMachine(b)
 	b.ResetTimer()
@@ -254,7 +259,11 @@ func BenchmarkMemoryScanCold32MB(b *testing.B) {
 
 // BenchmarkMemoryScanDirty32MB measures the timeline-shaped workload: one
 // page of memory is written between rescans, so the incremental scanner
-// re-walks O(1) frames out of 8192 per iteration.
+// re-walks 1-2 frames out of 8192 per iteration. Its host cost is
+// O(dirty blocks + matches): clean 64-frame blocks are ruled out by their
+// block write generations, only the dirty block's frames pay the per-frame
+// generation test, and the match list is rebuilt from the frames the match
+// bitmap marks.
 func BenchmarkMemoryScanDirty32MB(b *testing.B) {
 	m, key := benchScanMachine(b)
 	phys := m.Kernel().Mem()
@@ -272,6 +281,45 @@ func BenchmarkMemoryScanDirty32MB(b *testing.B) {
 		}
 		if got := m.Scan(key); got.Total == 0 {
 			b.Fatal("scan found nothing")
+		}
+	}
+}
+
+// BenchmarkMemoryScanDirtyFleetShape measures the rescan a scanned fleet
+// pays on every machine at every tick: one machine of the 8-machine,
+// 40,000-connection fleet (fleet.Sized: 19,152 frames), one Workers-1
+// scanner over four tenants' keys (16 patterns), no key copy anywhere in
+// memory, and one page written between rescans.
+func BenchmarkMemoryScanDirtyFleetShape(b *testing.B) {
+	cfg := fleet.Sized(40_000, 8, 1000, protect.LevelSealed, 2007)
+	k, err := kernel.New(kernel.Config{MemPages: cfg.MemPages})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var patterns []scan.Pattern
+	for tenant := 0; tenant < 4; tenant++ {
+		key, err := rsakey.Generate(stats.NewReader(int64(1+tenant)), 512)
+		if err != nil {
+			b.Fatal(err)
+		}
+		patterns = append(patterns, scan.PatternsFor(key)...)
+	}
+	sc := scan.NewWith(k, patterns, scan.Options{Workers: 1})
+	phys := k.Mem()
+	dirty := mem.PageNum(phys.NumPages() / 2).Base()
+	payload := make([]byte, mem.PageSize)
+	if got := sc.Scan(); len(got) != 0 { // prime the incremental cache
+		b.Fatalf("fleet machine holds %d key copies, want none", len(got))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		payload[0] = byte(i)
+		if err := phys.Write(dirty, payload); err != nil {
+			b.Fatal(err)
+		}
+		if got := sc.Scan(); len(got) != 0 {
+			b.Fatalf("rescan found %d key copies, want none", len(got))
 		}
 	}
 }

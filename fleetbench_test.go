@@ -3,7 +3,9 @@
 // full timeline and the legacy per-tick loop baseline on a truncated one
 // (the loop at full horizon would take minutes — that is the point), and
 // reports ns per simulated tick so the two are directly comparable at
-// every scale. The 1M-connection timeline is the memory headline: peak
+// every scale. One scanned row, an httpd fleet at the sealed level scanned
+// every tick, keeps the incremental rescan on the trajectory (the other
+// rows run with scanning off). The 1M-connection timeline is the memory headline: peak
 // heap stays O(machines + open connections) because per-event costs
 // replace per-open-connection-per-tick costs and the statistics stream
 // instead of materializing.
@@ -57,6 +59,25 @@ func BenchmarkFleetEvent10k(b *testing.B) {
 
 func BenchmarkFleetEvent100k(b *testing.B) {
 	benchFleet(b, fleetBenchConfig(100_000, 16), fleet.Run)
+}
+
+// BenchmarkFleetEventSealedScan10k is the scanned row of the trajectory:
+// an httpd prefork fleet at the sealed level with every machine scanned
+// for all four tenants' keys at every tick, so the incremental rescan and
+// the unseal→op→reseal windows are on the measured path. Every window
+// must show zero key copies.
+func BenchmarkFleetEventSealedScan10k(b *testing.B) {
+	cfg := fleet.Sized(10_000, 4, 1000, protect.LevelSealed, 2007)
+	cfg.Kind = fleet.KindHTTPD
+	cfg.Tenants = 4
+	cfg.SampleEvery = 1
+	benchFleet(b, cfg, func(cfg fleet.Config) (*fleet.Result, error) {
+		res, err := fleet.Run(cfg)
+		if err == nil && res.Copies.StreamMax() != 0 {
+			b.Fatalf("sealed fleet window showed %v key copies, want 0", res.Copies.StreamMax())
+		}
+		return res, err
+	})
 }
 
 // BenchmarkFleetLoop10k / 100k run the per-tick loop baseline on

@@ -24,6 +24,15 @@ const PageSize = 4096
 // PageShift is log2(PageSize), used to convert addresses to frame numbers.
 const PageShift = 12
 
+// BlockShift is log2(BlockFrames).
+const BlockShift = 6
+
+// BlockFrames is the number of consecutive frames that share one block
+// write generation (see Memory.BlockGen). 64 frames per block lets an
+// incremental scanner rule out a whole block with one compare, and lets a
+// per-frame bitmap word line up with exactly one block.
+const BlockFrames = 1 << BlockShift
+
 // Addr is a physical address into the simulated memory.
 type Addr uint64
 
@@ -123,6 +132,10 @@ type Memory struct {
 	// that changed at least zero bytes of some frame). Each touched frame's
 	// gen is stamped with the post-increment value.
 	muts uint64
+	// blockGen[b] is the highest write generation of any frame in block
+	// b (frames [b*BlockFrames, (b+1)*BlockFrames)). touch stamps it
+	// together with the frames, so it is always the block's maximum.
+	blockGen []uint64
 }
 
 // New creates a machine with the given number of page frames, all free and
@@ -132,8 +145,9 @@ func New(numPages int) (*Memory, error) {
 		return nil, fmt.Errorf("mem: numPages must be positive, got %d", numPages)
 	}
 	m := &Memory{
-		data:   make([]byte, numPages*PageSize),
-		frames: make([]Frame, numPages),
+		data:     make([]byte, numPages*PageSize),
+		frames:   make([]Frame, numPages),
+		blockGen: make([]uint64, (numPages+BlockFrames-1)/BlockFrames),
 	}
 	for i := range m.frames {
 		m.frames[i] = Frame{State: FrameFree, Owner: OwnerNone}
@@ -176,8 +190,18 @@ func (m *Memory) Frame(pn PageNum) *Frame {
 // alter metadata, not contents.
 func (m *Memory) Mutations() uint64 { return m.muts }
 
+// NumBlocks returns the number of frame blocks: NumPages/BlockFrames,
+// rounded up (the last block may be partial).
+func (m *Memory) NumBlocks() int { return len(m.blockGen) }
+
+// BlockGen returns block b's write generation: the maximum Gen over the
+// frames of the block, 0 if none was ever written. A value at most g
+// proves no frame of the block changed after the mutation counter read g.
+func (m *Memory) BlockGen(b int) uint64 { return m.blockGen[b] }
+
 // touch stamps the write generation of every frame overlapping
-// [addr, addr+n). Callers have already validated the range.
+// [addr, addr+n), and of the blocks holding them. Callers have already
+// validated the range.
 func (m *Memory) touch(addr Addr, n int) {
 	if n <= 0 {
 		return
@@ -186,6 +210,7 @@ func (m *Memory) touch(addr Addr, n int) {
 	last := (addr + Addr(n) - 1).Page()
 	for pn := addr.Page(); pn <= last; pn++ {
 		m.frames[pn].gen = m.muts
+		m.blockGen[pn>>BlockShift] = m.muts
 	}
 }
 

@@ -477,3 +477,56 @@ func TestGenerationWindowMaxStrictlyIncreases(t *testing.T) {
 		}
 	}
 }
+
+// Property: after any sequence of mutations, every block's generation is
+// the maximum generation over its frames — including the partial last
+// block of a memory whose page count is not a multiple of BlockFrames.
+func TestQuickBlockGenIsBlockMax(t *testing.T) {
+	const pages = 3*BlockFrames + 5
+	f := func(seed int64) bool {
+		m, err := New(pages)
+		if err != nil {
+			return false
+		}
+		r := rand.New(rand.NewSource(seed))
+		for op := 0; op < 64; op++ {
+			pn := PageNum(r.Intn(pages))
+			switch r.Intn(5) {
+			case 0:
+				n := 1 + r.Intn(3*PageSize)
+				addr := Addr(r.Intn(m.Size() - n + 1))
+				err = m.Write(addr, make([]byte, n))
+			case 1:
+				n := r.Intn(2 * PageSize)
+				err = m.Zero(Addr(r.Intn(m.Size()-n+1)), n)
+			case 2:
+				err = m.ZeroPage(pn)
+			case 3:
+				err = m.CopyPage(pn, PageNum(r.Intn(pages)))
+			case 4:
+				// Metadata-only: no generation may move.
+				m.Frame(pn).State = FrameAllocated
+				m.Frame(pn).AddMapper(r.Intn(8))
+			}
+			if err != nil {
+				return false
+			}
+			if m.NumBlocks() != (pages+BlockFrames-1)/BlockFrames {
+				return false
+			}
+			for b := 0; b < m.NumBlocks(); b++ {
+				var mx uint64
+				for g := b * BlockFrames; g < min((b+1)*BlockFrames, pages); g++ {
+					mx = max(mx, m.Frame(PageNum(g)).Gen())
+				}
+				if m.BlockGen(b) != mx {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}

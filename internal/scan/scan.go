@@ -23,6 +23,7 @@ package scan
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"memshield/internal/crypto/rsakey"
@@ -133,13 +134,24 @@ type Scanner struct {
 	span int
 	// cache is the per-frame incremental state, allocated on first Scan.
 	cache []frameCache
+	// hasMatch has bit f%64 of word f/64 set exactly when cache[f].matches
+	// is non-empty; emit walks only those frames.
+	hasMatch []uint64
 	// primed is false until the first full walk has populated the cache.
 	primed bool
 	// lastMut is the memory's mutation counter at the end of the last
 	// Scan; an unchanged counter proves every cached frame is still valid.
 	lastMut uint64
 	stats   Stats
+	// gensInspected counts the frames whose window generation sum
+	// rescanDirty computed — the per-frame work that block skipping
+	// saves. Tests gate on it; it is not part of Stats.
+	gensInspected int
 }
+
+// A hasMatch word must never straddle two blocks, or two shards would
+// write it; this fails to compile unless BlockFrames is a multiple of 64.
+const _ uint = -(mem.BlockFrames % 64)
 
 // Options tunes a Scanner.
 type Options struct {
@@ -186,6 +198,7 @@ func (s *Scanner) Scan() []Match {
 	}
 	if s.cache == nil {
 		s.cache = make([]frameCache, numFrames)
+		s.hasMatch = make([]uint64, (numFrames+63)/64)
 	}
 	s.stats.Scans++
 
@@ -203,16 +216,23 @@ func (s *Scanner) Scan() []Match {
 // consecutive dirty frames and keeping cached results for the rest. Shard
 // boundaries never affect output: each frame's matches are a pure function
 // of its own window, and commits go to disjoint per-frame slots.
+//
+// Once primed, a whole block of frames is skipped with the block
+// generation compare of cleanBlock; only the frames of the blocks that
+// fail it pay the per-frame generation-sum test. Shards are whole blocks,
+// so each word of the match bitmap has exactly one writer.
 func (s *Scanner) rescanDirty(m *mem.Memory, view []byte, numFrames int) {
+	blocks := m.NumBlocks()
 	workers := runner.Workers(s.workers)
-	if workers > numFrames {
-		workers = numFrames
+	if workers > blocks {
+		workers = blocks
 	}
-	perShard := (numFrames + workers - 1) / workers
-	type shardStats struct{ scanned, cached int }
+	perShard := (blocks + workers - 1) / workers * mem.BlockFrames
+	shards := (numFrames + perShard - 1) / perShard
+	type shardStats struct{ scanned, cached, inspected int }
 	// Cells touch disjoint frame ranges of s.cache, so the ordered-commit
 	// contract of runner.Map makes the walk race-free and deterministic.
-	res, err := runner.Map(workers, workers, func(si int) (shardStats, error) {
+	res, err := runner.Map(workers, shards, func(si int) (shardStats, error) {
 		lo := si * perShard
 		hi := lo + perShard
 		if hi > numFrames {
@@ -221,7 +241,14 @@ func (s *Scanner) rescanDirty(m *mem.Memory, view []byte, numFrames int) {
 		var st shardStats
 		f := lo
 		for f < hi {
+			if s.primed && f%mem.BlockFrames == 0 && s.cleanBlock(m, f>>mem.BlockShift) {
+				n := min(mem.BlockFrames, hi-f)
+				st.cached += n
+				f += n
+				continue
+			}
 			sum := s.windowGenSum(m, f, numFrames)
+			st.inspected++
 			if s.primed && s.cache[f].genSum == sum {
 				st.cached++
 				f++
@@ -233,6 +260,7 @@ func (s *Scanner) rescanDirty(m *mem.Memory, view []byte, numFrames int) {
 			sums := []uint64{sum}
 			for run < hi {
 				rs := s.windowGenSum(m, run, numFrames)
+				st.inspected++
 				if s.primed && s.cache[run].genSum == rs {
 					break
 				}
@@ -249,8 +277,29 @@ func (s *Scanner) rescanDirty(m *mem.Memory, view []byte, numFrames int) {
 		for _, st := range res {
 			s.stats.FramesScanned += st.scanned
 			s.stats.FramesCached += st.cached
+			s.gensInspected += st.inspected
 		}
 	}
+}
+
+// cleanBlock reports whether every frame of block b is provably clean:
+// no block its frames' scan windows reach (b through the block holding
+// its last frame + span) was written after lastMut. Every cached frame is
+// valid as of lastMut and generations only grow, so a window's generation
+// sum differs from its cached one exactly when some frame in the window
+// has a generation above lastMut — which is what the block maxima rule
+// out.
+func (s *Scanner) cleanBlock(m *mem.Memory, b int) bool {
+	last := ((b+1)*mem.BlockFrames - 1 + s.span) >> mem.BlockShift
+	if last >= m.NumBlocks() {
+		last = m.NumBlocks() - 1
+	}
+	for ; b <= last; b++ {
+		if m.BlockGen(b) > s.lastMut {
+			return false
+		}
+	}
+	return true
 }
 
 // windowGenSum sums the write generations of the frames a scan window for
@@ -269,7 +318,8 @@ func (s *Scanner) windowGenSum(m *mem.Memory, f, numFrames int) uint64 {
 
 // scanRun re-searches frames [lo, hi) in one pass. The window extends
 // maxLen-1 bytes past the run so matches straddling the run's trailing
-// boundary are found; matches are bucketed to the frame they start in.
+// boundary are found; matches are bucketed to the frame they start in,
+// and the match bitmap is brought up to date for every frame of the run.
 func (s *Scanner) scanRun(view []byte, lo, hi, numFrames int, sums []uint64) {
 	base := mem.PageNum(lo).Base()
 	runBytes := (hi - lo) * mem.PageSize
@@ -280,6 +330,7 @@ func (s *Scanner) scanRun(view []byte, lo, hi, numFrames int, sums []uint64) {
 	for f := lo; f < hi; f++ {
 		s.cache[f].genSum = sums[f-lo]
 		s.cache[f].matches = nil
+		s.hasMatch[f>>6] &^= 1 << (f & 63)
 	}
 	s.eng.scan(view[base:end], runBytes, func(off, pat int) bool {
 		f := lo + off/mem.PageSize
@@ -287,6 +338,7 @@ func (s *Scanner) scanRun(view []byte, lo, hi, numFrames int, sums []uint64) {
 			off: int32(off % mem.PageSize),
 			pat: int32(pat),
 		})
+		s.hasMatch[f>>6] |= 1 << (f & 63)
 		return true
 	})
 }
@@ -294,23 +346,36 @@ func (s *Scanner) scanRun(view []byte, lo, hi, numFrames int, sums []uint64) {
 // emit rebuilds the full match list from the per-frame cache in the
 // scanner's canonical order — pattern-major, address-ascending, exactly
 // the order the original one-pass-per-pattern search produced — and
-// classifies every match against the frames' current metadata.
+// classifies every match against the frames' current metadata. Only the
+// frames set in the match bitmap are visited, once per pattern, and only
+// between its first and last non-zero words: a machine with no key copies
+// costs one pass over the bitmap.
 func (s *Scanner) emit(m *mem.Memory) []Match {
+	lo, hi := 0, len(s.hasMatch)
+	for lo < hi && s.hasMatch[lo] == 0 {
+		lo++
+	}
+	for hi > lo && s.hasMatch[hi-1] == 0 {
+		hi--
+	}
 	var out []Match
 	for pi := range s.patterns {
-		for f := range s.cache {
-			for _, fm := range s.cache[f].matches {
-				if int(fm.pat) != pi {
-					continue
+		for w := lo; w < hi; w++ {
+			for word := s.hasMatch[w]; word != 0; word &= word - 1 {
+				f := w<<6 + bits.TrailingZeros64(word)
+				for _, fm := range s.cache[f].matches {
+					if int(fm.pat) != pi {
+						continue
+					}
+					fr := m.Frame(mem.PageNum(f))
+					out = append(out, Match{
+						Addr:      mem.PageNum(f).Base() + mem.Addr(fm.off),
+						Part:      s.patterns[pi].Part,
+						Allocated: fr.State == mem.FrameAllocated,
+						Owner:     fr.Owner,
+						PIDs:      fr.Mappers(),
+					})
 				}
-				fr := m.Frame(mem.PageNum(f))
-				out = append(out, Match{
-					Addr:      mem.PageNum(f).Base() + mem.Addr(fm.off),
-					Part:      s.patterns[pi].Part,
-					Allocated: fr.State == mem.FrameAllocated,
-					Owner:     fr.Owner,
-					PIDs:      fr.Mappers(),
-				})
 			}
 		}
 	}
