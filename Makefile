@@ -72,10 +72,11 @@ soak-smoke:
 # connect benchmarks under the race detector: exercises the sharded scan,
 # the incremental rescan and the chunked factor scan concurrency without any
 # timing sensitivity, so it catches concurrency bit-rot in CI (DESIGN.md
-# §9), and keeps the sshd/httpd connect benches at every measured level
-# from rotting. CI runs this on each PR.
+# §9), runs a full keyfinder search (PEM, DER and factor walks to the end of
+# a sealed dump), and keeps the sshd/httpd connect benches at every measured
+# level from rotting. CI runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkSSHConnectPerLevel|BenchmarkHTTPDConnectPerLevel' -benchtime=1x .
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkKeyfinderSearchSealed|BenchmarkSSHConnectPerLevel|BenchmarkHTTPDConnectPerLevel' -benchtime=1x .
 
 # The published fleet bench trajectory (EXPERIMENTS.md "Benchmark JSON
 # format"): event engine vs per-tick loop baseline at 10k and 100k

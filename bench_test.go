@@ -13,6 +13,7 @@ import (
 	"memshield/internal/figures"
 	"memshield/internal/fleet"
 	"memshield/internal/kernel"
+	"memshield/internal/keyfinder"
 	"memshield/internal/mem"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
@@ -499,9 +500,12 @@ func BenchmarkLifetimeAnalysis(b *testing.B) {
 }
 
 func BenchmarkKeyfinderFactorScan(b *testing.B) {
-	// Dump a busy unprotected machine once, then measure the public-key-
-	// only factor scan over the full image.
-	m, err := NewMachine(MachineConfig{MemoryMB: 16, Seed: 40})
+	// Dump a busy machine at the integrated level once, then measure the
+	// public-key-only search over the full image. The integrated level
+	// leaves no PEM or DER in memory, only the aligned d, p and q, so the
+	// search runs the PEM and DER walks to the end and the factor scan
+	// makes the hit.
+	m, err := NewMachine(MachineConfig{MemoryMB: 16, Seed: 40, Protection: ProtectionIntegrated})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -509,7 +513,7 @@ func BenchmarkKeyfinderFactorScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := m.StartSSH(ProtectionNone, key.Path)
+	srv, err := m.StartSSH(ProtectionIntegrated, key.Path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -522,9 +526,43 @@ func BenchmarkKeyfinderFactorScan(b *testing.B) {
 	b.SetBytes(int64(len(image)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := RecoverKey(image, key, RecoveryOptions{FactorStride: 16, MaxHits: 1})
+		res := RecoverKey(image, key, RecoveryOptions{MaxHits: 1})
 		if !res.Success() {
 			b.Fatal("recovery failed")
+		}
+		if res.Hits[0].Method != keyfinder.MethodFactor {
+			b.Fatalf("recovered by %v, want the factor scan", res.Hits[0].Method)
+		}
+	}
+}
+
+func BenchmarkKeyfinderSearchSealed(b *testing.B) {
+	// A full search, with no MaxHits, over the dump of a busy sealed
+	// machine: nothing is recoverable, so the PEM, DER and factor walks
+	// all run to the end of the 32 MiB image.
+	m, err := NewMachine(MachineConfig{MemoryMB: 32, Seed: 42, Protection: ProtectionSealed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, err := m.InstallKey("/k.pem", 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := m.StartSSH(ProtectionSealed, key.Path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := srv.Connect(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	image := m.DumpMemory()
+	b.SetBytes(int64(len(image)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := RecoverKey(image, key, RecoveryOptions{FactorStride: 16}); res.Success() {
+			b.Fatalf("recovered a key from a sealed dump: %+v", res.Hits)
 		}
 	}
 }

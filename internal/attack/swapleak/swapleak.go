@@ -33,11 +33,12 @@ type Result struct {
 func Run(k *kernel.Kernel, patterns []scan.Pattern) Result {
 	swap := k.VM().Swap()
 	raw := swap.RawContents()
+	sum := scan.CountInBuffer(raw, patterns)
 	return Result{
 		DeviceBytes: len(raw),
 		SlotsInUse:  swap.UsedSlots(),
 		Encrypted:   swap.Encrypted(),
-		Summary:     scan.CountInBuffer(raw, patterns),
-		Success:     scan.FoundAny(raw, patterns),
+		Summary:     sum,
+		Success:     sum.Total > 0,
 	}
 }

@@ -82,35 +82,25 @@ func Run(k *kernel.Kernel, patterns []scan.Pattern, rng *rand.Rand, cfg Config) 
 		size = memSize
 	}
 	offset := rng.Intn(memSize)
-	var dump []byte
-	if offset+size <= memSize {
-		view, err := k.Mem().View(mem.Addr(offset), size)
-		if err != nil {
-			return Result{}, fmt.Errorf("ttyleak: %w", err)
-		}
-		dump = view
-	} else {
-		// Wrap-around: stitch the tail and head into one attacker-owned
-		// buffer so patterns spanning the seam are still found. The views
-		// are only read from; dump itself is a fresh allocation on this
-		// branch, never an alias of physical memory.
-		head := memSize - offset
-		dump = make([]byte, 0, size)
-		tail, err := k.Mem().View(mem.Addr(offset), head)
-		if err != nil {
-			return Result{}, fmt.Errorf("ttyleak: %w", err)
-		}
-		dump = append(dump, tail...)
-		front, err := k.Mem().View(0, size-head)
-		if err != nil {
-			return Result{}, fmt.Errorf("ttyleak: %w", err)
-		}
-		dump = append(dump, front...)
+	// A window running past the end of memory wraps to its start: the dump
+	// is the tail view followed by the head view. Both are counted in
+	// place, with the patterns that straddle the seam counted across it,
+	// so the dump is never copied. The views are only read from.
+	tail, err := k.Mem().View(mem.Addr(offset), min(size, memSize-offset))
+	if err != nil {
+		return Result{}, fmt.Errorf("ttyleak: %w", err)
 	}
+	var head []byte
+	if wrapped := offset + size - memSize; wrapped > 0 {
+		if head, err = k.Mem().View(0, wrapped); err != nil {
+			return Result{}, fmt.Errorf("ttyleak: %w", err)
+		}
+	}
+	sum := scan.CountInWrapped(tail, head, patterns)
 	return Result{
 		Offset:  offset,
 		Size:    size,
-		Summary: scan.CountInBuffer(dump, patterns),
-		Success: scan.FoundAny(dump, patterns),
+		Summary: sum,
+		Success: sum.Total > 0,
 	}, nil
 }

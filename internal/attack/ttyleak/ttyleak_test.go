@@ -1,10 +1,12 @@
 package ttyleak
 
 import (
+	"reflect"
 	"testing"
 
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/kernel"
+	"memshield/internal/mem"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
 	"memshield/internal/server/sshd"
@@ -157,5 +159,46 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 	if r1.Offset != r2.Offset || r1.Size != r2.Size || r1.Summary.Total != r2.Summary.Total {
 		t.Fatal("same seed must reproduce the same dump")
+	}
+}
+
+func TestWrappedDumpMatchesStitchedDump(t *testing.T) {
+	k, patterns, _ := rig(t, protect.LevelNone, 5)
+	// Plant d split across the end of physical memory, so the only way to
+	// see this copy is across the wrapped window's seam.
+	memSize := k.Mem().Size()
+	d := patterns[0].Bytes
+	h := len(d) / 2
+	if err := k.Mem().Write(mem.Addr(memSize-h), d[:h]); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Mem().Write(0, d[h:]); err != nil {
+		t.Fatal(err)
+	}
+	// Seed 50 places the window in the last 2% of memory, so it wraps.
+	res, err := Run(k, patterns, stats.NewRand(50), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := res.Offset + res.Size
+	if end <= memSize || res.Offset < memSize-memSize/16 {
+		t.Fatalf("window [%d, %d) does not wrap near the end of %d bytes", res.Offset, end, memSize)
+	}
+	image, err := k.Mem().View(0, memSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, head := image[res.Offset:], image[:end-memSize]
+	stitched := append(append([]byte(nil), tail...), head...)
+	want := scan.CountInBuffer(stitched, patterns)
+	if !reflect.DeepEqual(res.Summary, want) {
+		t.Fatalf("wrapped summary = %+v, stitched dump = %+v", res.Summary, want)
+	}
+	if res.Success != (want.Total > 0) {
+		t.Fatalf("success = %v with %d matches", res.Success, want.Total)
+	}
+	apart := scan.CountInBuffer(tail, patterns).Total + scan.CountInBuffer(head, patterns).Total
+	if want.Total != apart+1 {
+		t.Fatalf("stitched dump holds %d matches, the views apart %d: the seam copy is not exercised", want.Total, apart)
 	}
 }

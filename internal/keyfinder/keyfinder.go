@@ -151,16 +151,29 @@ func searchPEM(image []byte, pub rsakey.PublicKey, res *Result, done func() bool
 
 // searchDER recovers keys from raw PKCS#1 DER. A plausible start is a
 // SEQUENCE with a long-form two-byte length (0x30 0x82 for the key sizes in
-// play) or short/one-byte forms for small keys. The loop bound only
-// requires the two-byte SEQUENCE header; each length form guards its own
-// extra header bytes, so a short-form candidate flush against the end of
-// the image is still considered (it used to be skipped by a fixed
-// off+4 < len bound).
+// play) or short/one-byte forms for small keys. The walk only requires the
+// two-byte SEQUENCE header, so the last byte of the image is never a
+// candidate; each length form guards its own extra header bytes, so a
+// short-form candidate flush against the end of the image is still
+// considered.
+//
+// Candidates are found with bytes.IndexByte, so the walk costs one memchr
+// pass plus the candidates themselves: it visits exactly the offsets
+// holding 0x30, in ascending order, which are the only offsets the header
+// test can accept. done is consulted on entry and after each append — the
+// only events that change it — so hits, their order and the MaxHits
+// stopping point are those of testing every offset in turn (DESIGN.md §9).
 func searchDER(image []byte, pub rsakey.PublicKey, res *Result, done func() bool) {
-	for off := 0; off+2 <= len(image) && !done(); off++ {
-		if image[off] != 0x30 {
-			continue
+	if done() {
+		return
+	}
+	last := len(image) - 1 // exclusive bound on header offsets
+	for off := 0; off < last; off++ {
+		i := bytes.IndexByte(image[off:last], 0x30)
+		if i < 0 {
+			return
 		}
+		off += i
 		// Candidate total length from the DER header.
 		var total int
 		switch b := image[off+1]; {
@@ -185,6 +198,9 @@ func searchDER(image []byte, pub rsakey.PublicKey, res *Result, done func() bool
 		key, err := rsakey.ParseDER(image[off : off+total])
 		if err == nil && matchesPub(key, pub) {
 			res.Hits = append(res.Hits, Hit{Offset: off, Method: MethodDER, Key: key})
+			if done() {
+				return
+			}
 		}
 	}
 }

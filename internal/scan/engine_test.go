@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memshield/internal/mem"
+	"memshield/internal/stats"
 )
 
 // refFindAll is the old per-pattern reference search the single-pass
@@ -83,13 +84,87 @@ func TestCountInBufferOverlapping(t *testing.T) {
 	}
 }
 
+// TestFoundAny pins the attacks' success criterion, a non-zero
+// CountInBuffer total.
 func TestFoundAny(t *testing.T) {
 	pats := []Pattern{{Part: PartD, Bytes: []byte("needle")}}
-	if FoundAny([]byte("haystack"), pats) {
+	if CountInBuffer([]byte("haystack"), pats).Total != 0 {
 		t.Fatal("found pattern in clean buffer")
 	}
-	if !FoundAny([]byte("hay-needle-stack"), pats) {
+	if CountInBuffer([]byte("hay-needle-stack"), pats).Total == 0 {
 		t.Fatal("missed pattern")
+	}
+}
+
+// wrapPatterns mixes lengths (one longer than the short views below),
+// shared prefixes and self-overlapping patterns, so seam-crossing matches
+// of every shape occur.
+var wrapPatterns = []Pattern{
+	{Part: PartD, Bytes: []byte("abcab")},
+	{Part: PartP, Bytes: []byte("aaaa")},
+	{Part: PartQ, Bytes: []byte("b")},
+	{Part: PartPEM, Bytes: []byte("abababababab")},
+	{Part: PartQ, Bytes: []byte("ab")},
+}
+
+// checkWrapped fails unless CountInWrapped(a, b) equals CountInBuffer over
+// the stitched a‖b.
+func checkWrapped(t *testing.T, a, b []byte, patterns []Pattern) {
+	t.Helper()
+	want := CountInBuffer(append(append([]byte(nil), a...), b...), patterns)
+	if got := CountInWrapped(a, b, patterns); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CountInWrapped(%q, %q) = %+v, want %+v", a, b, got, want)
+	}
+}
+
+func TestCountInWrappedEqualsStitched(t *testing.T) {
+	lens := []int{0, 1, 2, 3, 4, 5, 7, 11, 12, 13, 20}
+	for _, la := range lens {
+		for _, lb := range lens {
+			n := la + lb
+			for _, p := range wrapPatterns {
+				// Plant each pattern at every offset of the stitched
+				// buffer, so every seam-crossing split is exercised.
+				for off := 0; off+len(p.Bytes) <= n; off++ {
+					buf := bytes.Repeat([]byte{'.'}, n)
+					copy(buf[off:], p.Bytes)
+					checkWrapped(t, buf[:la], buf[la:], wrapPatterns)
+				}
+			}
+		}
+	}
+	// Dense overlapping self-matches on both sides of the seam.
+	runs := bytes.Repeat([]byte("ab"), 16)
+	for cut := 0; cut <= len(runs); cut++ {
+		checkWrapped(t, runs[:cut], runs[cut:], wrapPatterns)
+	}
+	as := bytes.Repeat([]byte("a"), 16)
+	for cut := 0; cut <= len(as); cut++ {
+		checkWrapped(t, as[:cut], as[cut:], wrapPatterns)
+	}
+	// Single-byte patterns only: no match can cross the seam.
+	checkWrapped(t, []byte("bab"), []byte("bba"), []Pattern{{Part: PartQ, Bytes: []byte("b")}})
+	// Random three-letter buffers, split everywhere.
+	rng := stats.NewRand(7)
+	for i := 0; i < 200; i++ {
+		buf := make([]byte, rng.Intn(40))
+		for j := range buf {
+			buf[j] = "abc"[rng.Intn(3)]
+		}
+		cut := 0
+		if len(buf) > 0 {
+			cut = rng.Intn(len(buf) + 1)
+		}
+		checkWrapped(t, buf[:cut], buf[cut:], wrapPatterns)
+	}
+}
+
+func TestCountInWrappedFindsSeamMatch(t *testing.T) {
+	// The only match straddles the seam; neither view holds it alone.
+	pats := []Pattern{{Part: PartD, Bytes: []byte("needle")}}
+	sum := CountInWrapped([]byte("hay-nee"), []byte("dle-stack"), pats)
+	if sum.Total != 1 || sum.ByPart[PartD] != 1 {
+		t.Fatalf("seam match = %+v, want 1", sum)
 	}
 }
 

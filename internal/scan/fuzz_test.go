@@ -2,6 +2,7 @@ package scan
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"memshield/internal/mem"
@@ -23,7 +24,15 @@ func FuzzFindPlanted(f *testing.F) {
 		// Unplanted searches must never panic, whatever the inputs.
 		_ = CountInBuffer(buf, patterns)
 		_ = FindAllInBuffer(buf, patterns)
-		_ = FoundAny(buf, patterns)
+
+		// Splitting the buffer anywhere must not change the count.
+		cut := 0
+		if len(buf) > 0 {
+			cut = int(off16) % (len(buf) + 1)
+		}
+		if got, want := CountInWrapped(buf[:cut], buf[cut:], patterns), CountInBuffer(buf, patterns); !reflect.DeepEqual(got, want) {
+			t.Fatalf("CountInWrapped split at %d = %+v, want %+v", cut, got, want)
+		}
 
 		if len(pat) == 0 || len(pat) > len(buf) {
 			return
@@ -37,11 +46,8 @@ func FuzzFindPlanted(f *testing.F) {
 		copy(buf[off:], pat)
 
 		// Buffer search: the planted copy must be found at its offset.
-		if !FoundAny(buf, patterns) {
-			t.Fatalf("FoundAny missed planted pattern %x at %d", pat, off)
-		}
 		if got := CountInBuffer(buf, patterns); got.Total < 1 || got.ByPart[PartD] < 1 {
-			t.Fatalf("CountInBuffer = %+v, want >= 1 for planted pattern", got)
+			t.Fatalf("CountInBuffer = %+v, want >= 1 for planted pattern %x at %d", got, pat, off)
 		}
 		found := false
 		for _, m := range FindAllInBuffer(buf, patterns) {

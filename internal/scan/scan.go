@@ -399,12 +399,42 @@ func Summarize(matches []Match) Summary {
 
 // CountInBuffer counts pattern occurrences inside an attacker-captured
 // buffer (a USB stick full of mkdir leaks, or a tty memory dump). All
-// patterns are counted in one pass over the buffer.
+// patterns are counted in one pass over the buffer; a capture "found any"
+// part of the key — the paper's attack success criterion — exactly when
+// the Total is non-zero.
 func CountInBuffer(buf []byte, patterns []Pattern) Summary {
+	return CountInWrapped(buf, nil, patterns)
+}
+
+// CountInWrapped counts pattern occurrences in the concatenation a‖b
+// without building it: a tty dump that wraps around the end of physical
+// memory is the tail view followed by the head view. a and b are each
+// searched in place; the matches that cross the seam start in the last
+// maxLen-1 bytes of a and end in the first maxLen-1 bytes of b, so only a
+// seam buffer of at most 2·(maxLen-1) bytes is copied, and of its matches
+// only those that cross the seam are counted (the others lie wholly in a
+// or b and were counted there).
+func CountInWrapped(a, b []byte, patterns []Pattern) Summary {
 	sum := Summary{ByPart: make(map[Part]int)}
-	compile(patterns).scan(buf, len(buf), func(_, pat int) bool {
+	d := compile(patterns)
+	count := func(_, pat int) bool {
 		sum.Total++
 		sum.ByPart[patterns[pat].Part]++
+		return true
+	}
+	d.scan(a, len(a), count)
+	d.scan(b, len(b), count)
+	if d.maxLen < 2 || len(a) == 0 || len(b) == 0 {
+		return sum
+	}
+	overlap := d.maxLen - 1
+	tail := a[max(0, len(a)-overlap):]
+	seam := make([]byte, 0, len(tail)+overlap)
+	seam = append(append(seam, tail...), b[:min(len(b), overlap)]...)
+	d.scan(seam, len(tail), func(off, pat int) bool {
+		if off+len(patterns[pat].Bytes) > len(tail) {
+			count(off, pat)
+		}
 		return true
 	})
 	return sum
@@ -440,16 +470,4 @@ func FindAllInBuffer(buf []byte, patterns []Pattern) []BufferMatch {
 		return out[i].Len < out[j].Len
 	})
 	return out
-}
-
-// FoundAny reports whether any pattern occurs in the buffer — the paper's
-// attack "success" criterion (disclosure of any one part compromises the
-// key). The single-pass engine stops at the first hit.
-func FoundAny(buf []byte, patterns []Pattern) bool {
-	found := false
-	compile(patterns).scan(buf, len(buf), func(_, _ int) bool {
-		found = true
-		return false
-	})
-	return found
 }
