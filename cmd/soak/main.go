@@ -29,6 +29,7 @@ import (
 
 	"memshield/internal/fleet"
 	"memshield/internal/protect"
+	"memshield/internal/server"
 	"memshield/internal/stats"
 	"memshield/internal/supervise"
 )
@@ -49,12 +50,12 @@ func parseLevel(s string) (protect.Level, error) {
 	return 0, fmt.Errorf("unknown level %q (want none, application, library, kernel, integrated, secure-dealloc or sealed)", s)
 }
 
-func parseKind(s string) (supervise.Kind, error) {
+func parseKind(s string) (server.Kind, error) {
 	switch s {
 	case "ssh", "sshd", "openssh":
-		return supervise.KindSSHD, nil
+		return server.KindSSHD, nil
 	case "apache", "httpd":
-		return supervise.KindHTTPD, nil
+		return server.KindHTTPD, nil
 	default:
 		return "", fmt.Errorf("unknown server %q (want ssh or apache)", s)
 	}

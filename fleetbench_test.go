@@ -1,14 +1,12 @@
-// Fleet-engine benchmarks: the published bench trajectory behind
-// BENCH_10.json (`make bench-json`). Each size runs the event engine on a
-// full timeline and the legacy per-tick loop baseline on a truncated one
-// (the loop at full horizon would take minutes — that is the point), and
-// reports ns per simulated tick so the two are directly comparable at
-// every scale. One scanned row, an httpd fleet at the sealed level scanned
+// Fleet-engine benchmarks: the published bench trajectory (`make
+// bench-json`). Each size runs the fleet engine on a full 1000-tick
+// timeline and reports ns per simulated tick, so sizes are directly
+// comparable. One scanned row, an httpd fleet at the sealed level scanned
 // every tick, keeps the incremental rescan on the trajectory (the other
-// rows run with scanning off). The 1M-connection timeline is the memory headline: peak
-// heap stays O(machines + open connections) because per-event costs
-// replace per-open-connection-per-tick costs and the statistics stream
-// instead of materializing.
+// rows run with scanning off). The 1M-connection timeline is the memory
+// headline: peak heap stays O(machines + open connections) because
+// per-event costs replace per-open-connection-per-tick costs and the
+// statistics stream instead of materializing.
 package memshield
 
 import (
@@ -78,22 +76,6 @@ func BenchmarkFleetEventSealedScan10k(b *testing.B) {
 		}
 		return res, err
 	})
-}
-
-// BenchmarkFleetLoop10k / 100k run the per-tick loop baseline on
-// truncated horizons: ns/simtick is horizon-independent for the loop
-// (every open connection is recycled every tick), so a short run measures
-// the same per-tick cost the full horizon would — without the minutes.
-func BenchmarkFleetLoop10k(b *testing.B) {
-	cfg := fleetBenchConfig(10_000, 4)
-	cfg.Horizon = 200
-	benchFleet(b, cfg, fleet.RunLoop)
-}
-
-func BenchmarkFleetLoop100k(b *testing.B) {
-	cfg := fleetBenchConfig(100_000, 16)
-	cfg.Horizon = 40
-	benchFleet(b, cfg, fleet.RunLoop)
 }
 
 // BenchmarkFleetTimeline1M is the headline: one million connections

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memshield/internal/protect"
+	"memshield/internal/stats"
 )
 
 // testConfig is a small, fast fleet: ~2k connections over 400 ticks on 4
@@ -17,7 +18,7 @@ func testConfig() Config {
 }
 
 // resultKey condenses everything replay-sensitive about a Result for
-// equality checks across shard/worker counts and engines.
+// equality checks across shard/worker counts.
 type resultKey struct {
 	Arrivals, Completed, Shed, Errors int64
 	PeakOpen, FinalOpen               int
@@ -77,39 +78,57 @@ func TestShardWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestEventLoopPopulationIdentical pins the engine-comparison contract:
-// the event engine and the legacy per-tick loop baseline replay the
-// identical connection population (same fingerprint, arrivals, closes,
-// sheds) from the same seeds — only the transfer mechanics differ.
-func TestEventLoopPopulationIdentical(t *testing.T) {
-	cfg := testConfig()
-	cfg.Horizon = 150
-	ev, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestChurnNeverPerturbsPopulation pins the population-identity contract:
+// the connection population — arrivals, tenants, lifetimes, closes, sheds —
+// is drawn only from the arrival and lifetime streams, and each
+// connection's churn gaps come from a private stream derived from its
+// serial. So neither how often connections transfer (ChurnGapTicks, up to
+// never) nor how much they move (TransferBytes) may shift the population
+// fingerprint, the population counts or the lifetime reservoir.
+func TestChurnNeverPerturbsPopulation(t *testing.T) {
+	type population struct {
+		Fingerprint               uint64
+		Arrivals, Completed, Shed int64
+		FinalOpen                 int
+		Lifetimes                 *stats.Reservoir
 	}
-	lp, err := RunLoop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Fingerprint != lp.Fingerprint {
-		t.Fatalf("population fingerprints diverged: event %x vs loop %x",
-			ev.Fingerprint, lp.Fingerprint)
-	}
-	if ev.Arrivals != lp.Arrivals || ev.Completed != lp.Completed || ev.Shed != lp.Shed {
-		t.Fatalf("population counts diverged: event %d/%d/%d vs loop %d/%d/%d",
-			ev.Arrivals, ev.Completed, ev.Shed, lp.Arrivals, lp.Completed, lp.Shed)
-	}
-	if ev.Errors != 0 || lp.Errors != 0 {
-		t.Fatalf("healthy engines hit errors: event %d, loop %d", ev.Errors, lp.Errors)
-	}
-	if ev.Churns == 0 || ev.Recycles != 0 {
-		t.Errorf("event engine: churns=%d recycles=%d, want scheduled churns only",
-			ev.Churns, ev.Recycles)
-	}
-	if lp.Recycles == 0 || lp.Churns != 0 {
-		t.Errorf("loop baseline: churns=%d recycles=%d, want per-tick recycles only",
-			lp.Churns, lp.Recycles)
+	var ref *population
+	for _, gap := range []float64{1, 16, 1e9} {
+		for _, bytes := range []int{512, 4096} {
+			cfg := testConfig()
+			cfg.Horizon = 150
+			cfg.ChurnGapTicks = gap
+			cfg.TransferBytes = bytes
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("gap=%v bytes=%d: %v", gap, bytes, err)
+			}
+			if res.Errors != 0 {
+				t.Fatalf("gap=%v bytes=%d: %d errors in a healthy run", gap, bytes, res.Errors)
+			}
+			switch {
+			case gap == 1e9 && res.Churns != 0:
+				t.Errorf("gap=%v bytes=%d: %d churns, want none", gap, bytes, res.Churns)
+			case gap != 1e9 && res.Churns == 0:
+				t.Errorf("gap=%v bytes=%d: no churns", gap, bytes)
+			}
+			got := &population{
+				Fingerprint: res.Fingerprint, Arrivals: res.Arrivals,
+				Completed: res.Completed, Shed: res.Shed, FinalOpen: res.FinalOpen,
+				Lifetimes: res.Lifetimes,
+			}
+			if ref == nil {
+				ref = got
+				if got.Arrivals == 0 || got.Completed == 0 || got.Lifetimes.Seen() == 0 {
+					t.Fatalf("degenerate run: %+v", got)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("gap=%v bytes=%d moved the population:\n got %+v\nwant %+v",
+					gap, bytes, got, ref)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // ONE fleet-level recovery arbiter, instead of each machine spending
 // anchor material the moment it wants to.
 //
-// Every machine runs the same chaos mix as a single-machine soak storm
-// (internal/supervise.RunStorm): a supervised server at LevelSealed, a
+// Every machine is the storm machine of a single-machine soak storm
+// (supervise.Machine): a supervised server at LevelSealed, a
 // probabilistic fault plan armed across every site, seeded workload ops,
 // invariants checked as it goes. The fleet twist is the re-provision
 // path. Each supervisor's ReprovisionGate always declines, so a
@@ -23,16 +23,10 @@ package fleet
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
-	"strings"
 
-	"memshield/internal/core"
 	"memshield/internal/fault"
-	"memshield/internal/hsm"
-	"memshield/internal/kernel"
 	"memshield/internal/protect"
 	"memshield/internal/runner"
-	"memshield/internal/scan"
 	"memshield/internal/stats"
 	"memshield/internal/supervise"
 )
@@ -47,7 +41,7 @@ type StormConfig struct {
 	// (default 40).
 	StepsPerRound int
 	// Kind selects the server (default sshd).
-	Kind supervise.Kind
+	Kind Kind
 	// Level is the protection level (default LevelSealed — the only level
 	// whose fail-closed destroy exercises the park/grant path).
 	Level protect.Level
@@ -58,15 +52,6 @@ type StormConfig struct {
 	// machines (default Machines/2, minimum 1). Each grant spends one
 	// unit; a parked machine past the budget stays parked.
 	Budget int
-	// MemPages / SwapPages / KeyBits size each machine (defaults 768 /
-	// 16 / 512).
-	MemPages  int
-	SwapPages int
-	KeyBits   int
-	// Plan overrides the per-machine fault plan factory (nil = a
-	// storm plan with the seal site hot enough to park machines within a
-	// few rounds). The plan for machine i gets seed DeriveSeed(Seed, i, 4).
-	Plan func(seed int64) *fault.Plan
 	// Workers sizes the drive-round worker pool (0 = NumCPU).
 	Workers int
 }
@@ -82,7 +67,7 @@ func (c *StormConfig) applyDefaults() {
 		c.StepsPerRound = 40
 	}
 	if c.Kind == "" {
-		c.Kind = supervise.KindSSHD
+		c.Kind = KindSSHD
 	}
 	if !c.Level.Valid() {
 		c.Level = protect.LevelSealed
@@ -93,24 +78,12 @@ func (c *StormConfig) applyDefaults() {
 			c.Budget = 1
 		}
 	}
-	if c.MemPages == 0 {
-		c.MemPages = 768
-	}
-	if c.SwapPages == 0 {
-		c.SwapPages = 16
-	}
-	if c.KeyBits == 0 {
-		c.KeyBits = 512
-	}
-	if c.Plan == nil {
-		c.Plan = defaultFleetPlan
-	}
 }
 
-// defaultFleetPlan is DefaultStormPlan with the seal site hot: fleet
-// storms are about the park/grant path, so fail-closed destroys need to
-// happen within a few rounds rather than once in a long soak.
-func defaultFleetPlan(seed int64) *fault.Plan {
+// fleetStormPlan is DefaultStormPlan with the seal site hot: fleet storms
+// are about the park/grant path, so fail-closed destroys need to happen
+// within a few rounds rather than once in a long soak.
+func fleetStormPlan(seed int64) *fault.Plan {
 	p := supervise.DefaultStormPlan(seed)
 	p.Rules[fault.SiteSeal] = fault.Rule{Prob: 0.05}
 	return p
@@ -145,158 +118,16 @@ type StormResult struct {
 	Fingerprint string
 }
 
-// stormMachine is one fleet member's standing state across rounds.
-type stormMachine struct {
-	idx    int
-	k      *kernel.Kernel
-	sup    *supervise.Supervisor
-	status *protect.Status
-	pat    []scan.Pattern
-	rng    *rand.Rand
-	open   []int
-	gen    int
-	prev   supervise.Counters
-	parks  int
-	// log accumulates this machine's lines for the current round only;
-	// the fleet loop drains it after each ordered commit.
-	log []string
-	// violation is the first invariant break on this machine ("" = none);
-	// a violated machine stops being driven.
-	violation string
-}
-
-func (m *stormMachine) logf(format string, args ...any) {
-	m.log = append(m.log, fmt.Sprintf("m%d "+format, append([]any{m.idx}, args...)...))
-}
-
-// newStormMachine provisions fleet member idx: kernel under the fault
-// plan, seeded key, anchor escrow, and a supervisor whose gate always
-// parks — re-provision grants are the fleet scheduler's call, never the
-// machine's.
-func newStormMachine(cfg StormConfig, idx int) (*stormMachine, error) {
-	base := stats.DeriveSeed(cfg.Seed, int64(idx))
-	m := &stormMachine{idx: idx}
-	var err error
-	m.k, err = kernel.New(kernel.Config{
-		MemPages:      cfg.MemPages,
-		SwapPages:     cfg.SwapPages,
-		DeallocPolicy: cfg.Level.KernelPolicy(),
-		FaultPlan:     cfg.Plan(stats.DeriveSeed(base, 4)),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fleet storm m%d: %w", idx, err)
-	}
-	key, err := keygen(stats.DeriveSeed(base, 1), cfg.KeyBits)
-	if err != nil {
-		return nil, fmt.Errorf("fleet storm m%d: %w", idx, err)
-	}
-	m.pat = scan.PatternsFor(key)
-	anchor := hsm.New()
-	slot, err := anchor.Import(key)
-	if err != nil {
-		return nil, fmt.Errorf("fleet storm m%d: %w", idx, err)
-	}
-	m.status = protect.NewStatus(cfg.Level)
-	// Per-machine re-provision budget must never bind before the shared
-	// one: the fleet budget is the only arbiter.
-	policy := supervise.DefaultPolicy(stats.DeriveSeed(base, 5))
-	policy.Budget[supervise.OpReprovision] = cfg.Budget + 1
-	const keyPath = "/etc/keys/fleet-storm.key"
-	m.sup = supervise.New(m.k, supervise.Config{
-		Kind: cfg.Kind, KeyPath: keyPath, Level: cfg.Level,
-		Seed: stats.DeriveSeed(base, 3), Policy: policy,
-		Anchor: anchor, AnchorSlot: slot, Status: m.status,
-		ReprovisionGate: func() bool { return false },
-		OnEvent: func(e supervise.Event) {
-			m.logf("tick=%d ev=%s op=%s attempt=%d wait=%d err=%q",
-				e.Tick, e.Kind, e.Op, e.Attempt, e.Wait, oneLine(e.Detail))
-			if e.Kind == "parked" {
-				m.parks++
-			}
-		},
-	})
-	if err := installKey(m.k, keyPath, key); err != nil {
-		m.status.Refuse(fmt.Sprintf("key install: %v", err))
-		m.logf("tick=%d ev=refused op=start err=%q", m.k.Clock(), oneLine(err.Error()))
-	} else if err := m.sup.Start(); err != nil {
-		m.logf("tick=%d ev=refused op=start err=%q", m.k.Clock(), oneLine(err.Error()))
-	}
-	m.rng = stats.NewRand(stats.DeriveSeed(base, 2))
-	m.gen = m.sup.Generation()
-	m.prev = m.sup.Counters()
-	return m, nil
-}
-
-// check asserts the machine invariants after a step: structural
-// consistency, monotone recovery counters, and a clean effective-level
-// audit (no false security — a parked machine claims only what it has).
-func (m *stormMachine) check() string {
-	if err := m.k.Alloc().CheckConsistency(); err != nil {
-		return fmt.Sprintf("allocator inconsistent: %v", err)
-	}
-	if err := m.k.VM().CheckConsistency(); err != nil {
-		return fmt.Sprintf("vm inconsistent: %v", err)
-	}
-	cur := m.sup.Counters()
-	if cur.Retries < m.prev.Retries || cur.BackoffTicks < m.prev.BackoffTicks ||
-		cur.Recoveries < m.prev.Recoveries || cur.Exhaustions < m.prev.Exhaustions ||
-		cur.Reprovisions < m.prev.Reprovisions || cur.Restarts < m.prev.Restarts {
-		return fmt.Sprintf("recovery counters regressed: %+v -> %+v", m.prev, cur)
-	}
-	if rep := core.NewWithStatus(m.k, m.status).AuditEffective(m.pat); !rep.OK() {
-		return fmt.Sprintf("audit violations at %s: %s",
-			m.status.Effective(), strings.Join(rep.Violations, "; "))
-	}
-	return ""
-}
-
-// drive runs one round of workload steps; a parked, dead or violated
-// machine just lets its clock idle so backoff/scrub schedules stay live.
-func (m *stormMachine) drive(steps int) {
-	for step := 0; step < steps; step++ {
-		if m.violation != "" {
-			return
-		}
-		if m.sup.Failed() != nil || m.sup.Parked() != nil || !m.sup.Running() {
-			m.k.Tick()
+// drive runs one round of workload steps on a fleet member; a parked or
+// dead machine just lets its clock idle so backoff/scrub schedules stay
+// live, and a violated machine stops.
+func drive(m *supervise.Machine, steps int) {
+	for step := 0; step < steps && m.Violation() == ""; step++ {
+		if !m.Supervisor().Running() {
+			m.Idle()
 			continue
 		}
-		if g := m.sup.Generation(); g != m.gen {
-			// A restarted generation invalidated every open connection.
-			m.gen, m.open = g, nil
-		}
-		switch m.rng.Intn(6) {
-		case 0, 1:
-			if id, err := m.sup.Connect(); err == nil {
-				m.open = append(m.open, id)
-				_ = m.sup.Churn(id, 4096)
-			}
-		case 2:
-			if len(m.open) > 0 {
-				i := m.rng.Intn(len(m.open))
-				_ = m.sup.Disconnect(m.open[i])
-				m.open = append(m.open[:i], m.open[i+1:]...)
-			}
-		case 3:
-			if len(m.open) > 0 {
-				_ = m.sup.Churn(m.open[m.rng.Intn(len(m.open))], 4096)
-			}
-		case 4:
-			if pid := m.sup.PID(); pid != 0 {
-				if _, err := m.k.MemoryPressure(pid, 2); err != nil {
-					m.logf("tick=%d ev=pressure-error err=%q", m.k.Clock(), oneLine(err.Error()))
-				}
-			}
-		case 5:
-			_ = m.sup.Maintain()
-		}
-		m.k.Tick()
-		if v := m.check(); v != "" {
-			m.violation = v
-			m.logf("tick=%d ev=violation err=%q", m.k.Clock(), oneLine(v))
-			return
-		}
-		m.prev = m.sup.Counters()
+		m.Step()
 	}
 }
 
@@ -312,19 +143,27 @@ func RunFleetStorm(cfg StormConfig) (*StormResult, error) {
 		cfg.Machines, cfg.Rounds, cfg.StepsPerRound, cfg.Kind, cfg.Level, cfg.Seed, cfg.Budget))
 
 	// Provision in parallel with ordered commit; setup lines land in
-	// machine order.
-	machines, err := runner.Map(cfg.Workers, cfg.Machines, func(i int) (*stormMachine, error) {
-		return newStormMachine(cfg, i)
+	// machine order. Each supervisor's gate always parks: re-provision
+	// grants are the fleet scheduler's call, never the machine's.
+	machines, err := runner.Map(cfg.Workers, cfg.Machines, func(i int) (*supervise.Machine, error) {
+		base := stats.DeriveSeed(cfg.Seed, int64(i))
+		m, err := supervise.NewMachine(supervise.MachineConfig{
+			Kind: cfg.Kind, Level: cfg.Level, Seed: base,
+			Plan:            fleetStormPlan(stats.DeriveSeed(base, 4)),
+			KeyPath:         "/etc/keys/fleet-storm.key",
+			LogPrefix:       fmt.Sprintf("m%d ", i),
+			ReprovisionGate: func() bool { return false },
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fleet storm m%d: %w", i, err)
+		}
+		return m, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	drain := func(m *stormMachine) {
-		res.Log = append(res.Log, m.log...)
-		m.log = m.log[:0]
-	}
 	for _, m := range machines {
-		drain(m)
+		res.Log = m.DrainLog(res.Log)
 	}
 
 	budget := cfg.Budget
@@ -332,65 +171,65 @@ func RunFleetStorm(cfg StormConfig) (*StormResult, error) {
 		// Drive phase: every machine advances independently; ordered
 		// commit keeps the combined log worker-invariant.
 		if _, err := runner.Map(cfg.Workers, cfg.Machines, func(i int) (struct{}, error) {
-			machines[i].drive(cfg.StepsPerRound)
+			drive(machines[i], cfg.StepsPerRound)
 			return struct{}{}, nil
 		}); err != nil {
 			return nil, err
 		}
 		for _, m := range machines {
-			drain(m)
+			res.Log = m.DrainLog(res.Log)
 		}
 		// Grant phase: serial, machine-index order — THE deterministic
 		// arbitration order for the shared budget.
-		for _, m := range machines {
-			if m.sup.Parked() == nil {
+		for i, m := range machines {
+			sup := m.Supervisor()
+			if sup.Parked() == nil {
 				continue
 			}
 			if budget <= 0 {
 				res.Denials++
 				res.Log = append(res.Log, fmt.Sprintf(
 					"round=%d grant m%d denied budget=0 cause=%q",
-					round, m.idx, oneLine(m.sup.Parked().Error())))
+					round, i, supervise.OneLine(sup.Parked().Error())))
 				continue
 			}
 			budget--
 			res.Grants++
 			res.Log = append(res.Log, fmt.Sprintf(
-				"round=%d grant m%d budget-left=%d", round, m.idx, budget))
-			if err := m.sup.ResumeReprovision(); err != nil {
+				"round=%d grant m%d budget-left=%d", round, i, budget))
+			if err := sup.ResumeReprovision(); err != nil {
 				res.Log = append(res.Log, fmt.Sprintf(
-					"round=%d resume-failed m%d err=%q", round, m.idx, oneLine(err.Error())))
+					"round=%d resume-failed m%d err=%q", round, i, supervise.OneLine(err.Error())))
 			}
-			drain(m)
+			res.Log = m.DrainLog(res.Log)
 		}
 	}
 
 	res.BudgetLeft = budget
-	for _, m := range machines {
-		res.Parks += m.parks
+	for i, m := range machines {
+		sup := m.Supervisor()
+		res.Parks += m.Parks()
 		switch {
-		case m.violation != "":
+		case m.Violation() != "":
 			if res.InvariantErr == "" {
-				res.InvariantErr = fmt.Sprintf("m%d: %s", m.idx, m.violation)
+				res.InvariantErr = fmt.Sprintf("m%d: %s", i, m.Violation())
 			}
-		case m.sup.Parked() != nil:
+		case sup.Parked() != nil:
 			res.Parked++
-		case m.sup.Failed() != nil:
+		case sup.Failed() != nil:
 			res.Dead++
-		case m.sup.Running():
+		case sup.Running():
 			res.Survivors++
 		default:
 			res.Dead++
 		}
-		if err := m.sup.Stop(); err != nil {
-			m.logf("tick=%d ev=stop-error err=%q", m.k.Clock(), oneLine(err.Error()))
-		}
-		m.k.Tick()
-		c := m.sup.Counters()
-		m.logf("final parked=%v dead=%v gen=%d epoch=%d reprovisions=%d restarts=%d effective=%s",
-			m.sup.Parked() != nil, m.sup.Failed() != nil, m.sup.Generation(), m.sup.Epoch(),
-			c.Reprovisions, c.Restarts, m.status.Effective())
-		drain(m)
+		m.Stop()
+		res.Log = m.DrainLog(res.Log)
+		c := sup.Counters()
+		res.Log = append(res.Log, fmt.Sprintf(
+			"m%d final parked=%v dead=%v gen=%d epoch=%d reprovisions=%d restarts=%d effective=%s",
+			i, sup.Parked() != nil, sup.Failed() != nil, sup.Generation(), sup.Epoch(),
+			c.Reprovisions, c.Restarts, sup.Status().Effective()))
 	}
 	res.Log = append(res.Log, fmt.Sprintf(
 		"final survivors=%d parked=%d dead=%d parks=%d grants=%d denials=%d budget-left=%d",
@@ -407,9 +246,4 @@ func stormLogFingerprint(log []string) string {
 		_, _ = h.Write([]byte{'\n'})
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// oneLine flattens error text for the line-oriented log.
-func oneLine(s string) string {
-	return strings.ReplaceAll(s, "\n", " | ")
 }

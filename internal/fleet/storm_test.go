@@ -134,3 +134,21 @@ func TestFleetStormGenerousBudget(t *testing.T) {
 		t.Error("no grant completed a re-provision")
 	}
 }
+
+// TestFleetStormLogGolden pins the full log of the `make fleet-smoke`
+// storm (4 machines, 6 rounds of 40 steps, budget 2, seed 2007): parks,
+// the serial grant walk, denials, re-provisions whose restarts are refused,
+// and the per-machine finals. The fingerprint is the FNV-1a of the log.
+func TestFleetStormLogGolden(t *testing.T) {
+	res, err := RunFleetStorm(StormConfig{
+		Machines: 4, Rounds: 6, StepsPerRound: 40, Seed: 2007, Budget: 2, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "aa2c3d2cf3ce3cdb"
+	if res.Fingerprint != want {
+		t.Fatalf("fleet storm log fingerprint = %s, want %s; log:\n%s",
+			res.Fingerprint, want, strings.Join(res.Log, "\n"))
+	}
+}

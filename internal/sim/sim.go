@@ -19,6 +19,7 @@ import (
 	"memshield/internal/protect"
 	"memshield/internal/scan"
 	"memshield/internal/scrub"
+	"memshield/internal/server"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
@@ -172,31 +173,6 @@ type Result struct {
 	Generations int
 }
 
-// serverHandle unifies the two servers for the driver loop.
-type serverHandle interface {
-	Connect() (int, error)
-	Churn(id, bytes int) error
-	Disconnect(id int) error
-	Maintain() error
-	Stop() error
-}
-
-type sshHandle struct{ s *sshd.Server }
-
-func (h sshHandle) Connect() (int, error)     { return h.s.Connect() }
-func (h sshHandle) Churn(id, bytes int) error { return h.s.Transfer(id, bytes) }
-func (h sshHandle) Disconnect(id int) error   { return h.s.Disconnect(id) }
-func (h sshHandle) Maintain() error           { return nil }
-func (h sshHandle) Stop() error               { return h.s.Stop() }
-
-type apacheHandle struct{ s *httpd.Server }
-
-func (h apacheHandle) Connect() (int, error)     { return h.s.Connect() }
-func (h apacheHandle) Churn(id, bytes int) error { return h.s.Request(id, bytes) }
-func (h apacheHandle) Disconnect(id int) error   { return h.s.Disconnect(id) }
-func (h apacheHandle) Maintain() error           { return h.s.MaintainSpares() }
-func (h apacheHandle) Stop() error               { return h.s.Stop() }
-
 // Run executes the timeline and returns the per-tick scanner samples.
 func Run(cfg Config) (*Result, error) {
 	cfg.applyDefaults()
@@ -244,7 +220,7 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Config: cfg, Key: key, MemPages: cfg.MemPages,
 		Samples: make([]TickSample, 0, cfg.Schedule.End+1)}
 
-	var srv serverHandle
+	var srv server.Handle
 	var sup *supervise.Supervisor
 	var open []int
 	gen := 0
@@ -351,9 +327,9 @@ func startSupervised(k *kernel.Kernel, cfg Config, key *rsakey.PrivateKey) (*sup
 	if err != nil {
 		return nil, fmt.Errorf("sim: anchor: %w", err)
 	}
-	kind := supervise.KindSSHD
+	kind := server.KindSSHD
 	if cfg.Kind == KindApache {
-		kind = supervise.KindHTTPD
+		kind = server.KindHTTPD
 	}
 	sup := supervise.New(k, supervise.Config{
 		Kind: kind, KeyPath: KeyPath, Level: cfg.Level,
@@ -367,20 +343,20 @@ func startSupervised(k *kernel.Kernel, cfg Config, key *rsakey.PrivateKey) (*sup
 }
 
 // startServer boots the configured server kind.
-func startServer(k *kernel.Kernel, cfg Config) (serverHandle, error) {
+func startServer(k *kernel.Kernel, cfg Config) (server.Handle, error) {
 	switch cfg.Kind {
 	case KindSSH:
 		s, err := sshd.Start(k, sshd.Config{KeyPath: KeyPath, Level: cfg.Level, Seed: stats.DeriveSeed(cfg.Seed, 3)})
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		return sshHandle{s}, nil
+		return server.SSHD(s), nil
 	case KindApache:
 		s, err := httpd.Start(k, httpd.Config{KeyPath: KeyPath, Level: cfg.Level, Seed: stats.DeriveSeed(cfg.Seed, 3)})
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		return apacheHandle{s}, nil
+		return server.HTTPD(s), nil
 	default:
 		return nil, errors.New("sim: unknown server kind")
 	}

@@ -325,7 +325,9 @@ func (r *RSA) MemoryAlign() error {
 
 // movePart copies one BIGNUM into the aligned region at dst and cleanses
 // its old buffer. The BIGNUM's pointer is rebound only after every step
-// succeeded, so a failed move leaves the part owning its old buffer.
+// succeeded, so a failed move leaves the part owning its old buffer — or
+// owning nothing (ptr 0) when the failure came after the old buffer was
+// already zeroed and released.
 func (r *RSA) movePart(bn *BigNum, dst vm.VAddr) error {
 	val, err := bn.Bytes()
 	defer scrub.Bytes(val)
@@ -335,7 +337,7 @@ func (r *RSA) movePart(bn *BigNum, dst vm.VAddr) error {
 	if err := r.heap.Write(dst, val); err != nil {
 		return err
 	}
-	if err := r.heap.FreeZero(bn.ptr); err != nil {
+	if err := r.freeZero(&bn.ptr); err != nil {
 		return err
 	}
 	bn.ptr = dst
@@ -355,7 +357,9 @@ func (r *RSA) scrapAlign(base vm.VAddr, movedParts int) error {
 	}
 	errs = append(errs, r.heap.Free(base))
 	for _, bn := range r.Parts()[movedParts:] {
-		errs = append(errs, r.heap.FreeZero(bn.ptr))
+		if bn.ptr != 0 {
+			errs = append(errs, r.heap.FreeZero(bn.ptr))
+		}
 	}
 	errs = append(errs, r.dropMontCache())
 	r.freed = true
@@ -364,16 +368,30 @@ func (r *RSA) scrapAlign(base vm.VAddr, movedParts int) error {
 
 // dropMontCache scrubs and frees the Montgomery cache buffers if present.
 func (r *RSA) dropMontCache() error {
-	for _, ptr := range []vm.VAddr{r.montP, r.montQ} {
-		if ptr == 0 {
+	for _, ptr := range []*vm.VAddr{&r.montP, &r.montQ} {
+		if *ptr == 0 {
 			continue
 		}
-		if err := r.heap.FreeZero(ptr); err != nil {
+		if err := r.freeZero(ptr); err != nil {
 			return err
 		}
 	}
-	r.montP, r.montQ = 0, 0
 	return nil
+}
+
+// freeZero scrubs and frees the heap buffer at *ptr and forgets the
+// pointer once the heap no longer holds it. That includes a failed free
+// whose chunk was already zeroed and released: libc drops a fully free
+// arena before unmapping it, so a faulted unmap returns an error for a
+// chunk that is gone, and freeing it again would report a bogus bad free.
+func (r *RSA) freeZero(ptr *vm.VAddr) error {
+	err := r.heap.FreeZero(*ptr)
+	if err == nil {
+		*ptr = 0
+	} else if _, serr := r.heap.SizeOf(*ptr); serr != nil {
+		*ptr = 0
+	}
+	return err
 }
 
 // ensureMontCache builds the private Montgomery cache on first use when
@@ -381,7 +399,7 @@ func (r *RSA) dropMontCache() error {
 // and Q (the moduli embedded in BN_MONT_CTX). These are the per-process
 // copies that multiply with Apache's worker count.
 func (r *RSA) ensureMontCache() error {
-	if r.flags&FlagCachePrivate == 0 || r.montP != 0 {
+	if r.flags&FlagCachePrivate == 0 || r.montP != 0 || r.montQ != 0 {
 		return nil
 	}
 	pBytes, err := r.p.Bytes()

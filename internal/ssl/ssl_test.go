@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memshield/internal/crypto/rsakey"
+	"memshield/internal/fault"
 	"memshield/internal/kernel"
 	"memshield/internal/kernel/alloc"
 	"memshield/internal/libc"
@@ -442,5 +443,65 @@ func TestSignPKCS1v15InSimMemory(t *testing.T) {
 	}
 	if _, err := r.SignPKCS1v15(msg); !errors.Is(err, ErrFreed) {
 		t.Fatalf("sign after free = %v", err)
+	}
+}
+
+// TestMemoryAlignFaultedArenaReleaseFreesOnce faults the zero-on-free
+// scrub while MemoryAlign frees the last part's old buffer. That free
+// empties the heap arena, and libc drops the arena before unmapping it,
+// so the error arrives for a chunk that is already zeroed and gone. The
+// refusal must report only that fault — no bogus bad free from freeing the
+// part a second time — and leave the object freed with no key bytes in
+// memory.
+func TestMemoryAlignFaultedArenaReleaseFreesOnce(t *testing.T) {
+	boot := func(plan *fault.Plan) (*fixture, *RSA) {
+		k, err := kernel.New(kernel.Config{
+			MemPages: 2048, DeallocPolicy: alloc.PolicyZeroOnFree, FaultPlan: plan,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pid, err := k.Spawn(0, "server")
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := rsakey.Generate(stats.NewReader(99), 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &fixture{k: k, pid: pid, heap: libc.New(k, pid), key: key, pem: key.MarshalPEM()}
+		return f, f.load(t)
+	}
+	// A dry run counts the scrubs before MemoryAlign; the next one is the
+	// first frame of the emptied arena's unmap.
+	dry, r := boot(&fault.Plan{Rules: map[fault.Site]fault.Rule{fault.SiteZeroOnFree: {}}})
+	before := dry.k.Injector().Calls(fault.SiteZeroOnFree)
+	if err := r.MemoryAlign(); err != nil {
+		t.Fatalf("fault-free MemoryAlign: %v", err)
+	}
+	if dry.k.Injector().Calls(fault.SiteZeroOnFree) == before {
+		t.Fatal("MemoryAlign released no arena pages; the fault would not land")
+	}
+
+	f, r := boot(&fault.Plan{Rules: map[fault.Site]fault.Rule{
+		fault.SiteZeroOnFree: {Nth: []uint64{before + 1}},
+	}})
+	err := r.MemoryAlign()
+	if !errors.Is(err, alloc.ErrZeroOnFree) {
+		t.Fatalf("MemoryAlign = %v, want the faulted arena release", err)
+	}
+	if errors.Is(err, libc.ErrBadFree) || errors.Is(err, libc.ErrDoubleFree) {
+		t.Fatalf("a part was freed twice: %v", err)
+	}
+	if !errors.Is(r.MemoryAlign(), ErrFreed) {
+		t.Error("a scrapped MemoryAlign must leave the object freed")
+	}
+	for name, pat := range map[string][]byte{
+		"d": f.key.D.Bytes(), "p": f.key.P.Bytes(), "q": f.key.Q.Bytes(),
+		"qinv": f.key.Qinv.Bytes(),
+	} {
+		if got := f.countPattern(pat); got != 0 {
+			t.Errorf("%s copies after the scrapped align = %d, want 0", name, got)
+		}
 	}
 }

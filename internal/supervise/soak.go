@@ -2,10 +2,12 @@
 // supervised server, with the machine's invariants checked at every step
 // and a deterministic event log.
 //
-// A storm is one machine under a probabilistic fault plan armed across
-// every site, serving a seeded connection workload through a Supervisor.
+// A storm runs on one Machine: a kernel under a probabilistic fault plan
+// armed across every site, serving a seeded connection workload through a
+// Supervisor. RunStorm drives one machine; the fleet storm
+// (internal/fleet) drives many in rounds under one re-provision arbiter.
 // After every workload step (one machine tick; backoff waits advance the
-// clock further inside a step) the harness asserts:
+// clock further inside a step) the machine asserts:
 //
 //   - structural consistency: alloc.CheckConsistency, vm.CheckConsistency;
 //   - no false security: core.AuditEffective is clean at the level the
@@ -24,6 +26,8 @@ package supervise
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 
 	"memshield/internal/core"
@@ -35,13 +39,22 @@ import (
 	"memshield/internal/runner"
 	"memshield/internal/scan"
 	"memshield/internal/scrub"
+	"memshield/internal/server"
 	"memshield/internal/stats"
+)
+
+// Every storm machine has the same shape: 768 pages of RAM, 16 of swap and
+// a 512-bit key.
+const (
+	stormMemPages  = 768
+	stormSwapPages = 16
+	stormKeyBits   = 512
 )
 
 // StormConfig describes one soak storm.
 type StormConfig struct {
-	// Kind selects the server (default KindSSHD).
-	Kind Kind
+	// Kind selects the server (default server.KindSSHD).
+	Kind server.Kind
 	// Level is the protection level (default LevelSealed — the level
 	// whose recovery story has the most moving parts).
 	Level protect.Level
@@ -52,42 +65,17 @@ type StormConfig struct {
 	// ends with one machine tick plus the full invariant check; retries
 	// inside a step advance the clock further.
 	Steps int
-	// MemPages / SwapPages size the machine (default 768 / 16).
-	MemPages  int
-	SwapPages int
-	// KeyBits sizes the RSA key (default 512).
-	KeyBits int
-	// Plan overrides the fault plan (nil = DefaultStormPlan(Seed)).
-	Plan *fault.Plan
-	// Policy overrides the retry policy (zero = DefaultPolicy of
-	// sub-stream 5).
-	Policy Policy
 }
 
 func (c *StormConfig) applyDefaults() {
 	if c.Kind == "" {
-		c.Kind = KindSSHD
+		c.Kind = server.KindSSHD
 	}
 	if !c.Level.Valid() {
 		c.Level = protect.LevelSealed
 	}
 	if c.Steps == 0 {
 		c.Steps = 200
-	}
-	if c.MemPages == 0 {
-		c.MemPages = 768
-	}
-	if c.SwapPages == 0 {
-		c.SwapPages = 16
-	}
-	if c.KeyBits == 0 {
-		c.KeyBits = 512
-	}
-	if c.Plan == nil {
-		c.Plan = DefaultStormPlan(c.Seed)
-	}
-	if c.Policy.Budget == nil && c.Policy.Seed == 0 && c.Policy.BaseBackoffTicks == 0 && c.Policy.MaxBackoffTicks == 0 {
-		c.Policy = DefaultPolicy(stats.DeriveSeed(c.Seed, 5))
 	}
 }
 
@@ -111,9 +99,217 @@ func DefaultStormPlan(seed int64) *fault.Plan {
 	}
 }
 
+// MachineConfig describes one storm machine.
+type MachineConfig struct {
+	// Kind and Level select the server and its protection level.
+	Kind  server.Kind
+	Level protect.Level
+	// Seed is the machine's base seed: keygen (sub-stream 1), the
+	// workload op mix (2), the server seed (3), the retry policy (5).
+	Seed int64
+	// Plan is the fault plan armed on the machine's kernel.
+	Plan *fault.Plan
+	// KeyPath is where the key file is installed. Injected fs.ReadFile
+	// errors quote it, so it is part of the log.
+	KeyPath string
+	// LogPrefix starts every line the machine logs.
+	LogPrefix string
+	// ReprovisionGate, when set, is the supervisor's gate (Config) and
+	// lifts the machine's own re-provision budget: whoever resumes the
+	// parked machine arbitrates the budget instead.
+	ReprovisionGate func() bool
+}
+
+// Machine is one supervised server under a fault storm: provisioned with
+// an anchor-escrowed key, driven one seeded workload step at a time, its
+// invariants checked after every step. Like every simulated machine it is
+// single-goroutine.
+type Machine struct {
+	k      *kernel.Kernel
+	sup    *Supervisor
+	pat    []scan.Pattern
+	rng    *rand.Rand
+	open   []int
+	gen    int
+	prev   Counters
+	steps  int
+	parks  int
+	prefix string
+	log    []string
+	// violation is the first invariant break ("" = none); a violated
+	// machine must not be stepped again.
+	violation string
+}
+
+// NewMachine provisions a storm machine: kernel under the fault plan,
+// seeded key, anchor escrow, supervisor, key install and start. A refused
+// start is logged, not returned: the storm goes on with a machine that
+// claims nothing. The error covers only set-up outside the faulted
+// surface.
+func NewMachine(cfg MachineConfig) (*Machine, error) {
+	m := &Machine{prefix: cfg.LogPrefix}
+	var err error
+	m.k, err = kernel.New(kernel.Config{
+		MemPages:      stormMemPages,
+		SwapPages:     stormSwapPages,
+		DeallocPolicy: cfg.Level.KernelPolicy(),
+		FaultPlan:     cfg.Plan,
+	})
+	if err != nil {
+		return nil, err
+	}
+	key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(cfg.Seed, 1)), stormKeyBits)
+	if err != nil {
+		return nil, err
+	}
+	m.pat = scan.PatternsFor(key)
+	// The anchor is provisioned out-of-band, before the storm: the same
+	// trust model as the initial key install.
+	anchor := hsm.New()
+	slot, err := anchor.Import(key)
+	if err != nil {
+		return nil, err
+	}
+	status := protect.NewStatus(cfg.Level)
+	policy := DefaultPolicy(stats.DeriveSeed(cfg.Seed, 5))
+	if cfg.ReprovisionGate != nil {
+		policy.Budget[OpReprovision] = math.MaxInt
+	}
+	m.sup = New(m.k, Config{
+		Kind: cfg.Kind, KeyPath: cfg.KeyPath, Level: cfg.Level,
+		Seed: stats.DeriveSeed(cfg.Seed, 3), Policy: policy,
+		Anchor: anchor, AnchorSlot: slot, Status: status,
+		ReprovisionGate: cfg.ReprovisionGate,
+		OnEvent: func(e Event) {
+			m.logf("tick=%d ev=%s op=%s attempt=%d wait=%d err=%q",
+				e.Tick, e.Kind, e.Op, e.Attempt, e.Wait, OneLine(e.Detail))
+			if e.Kind == "parked" {
+				m.parks++
+			}
+		},
+	})
+	pem := key.MarshalPEM()
+	err = m.k.FS().WriteFile(cfg.KeyPath, pem)
+	scrub.Bytes(pem)
+	if err != nil {
+		status.Refuse(fmt.Sprintf("key install: %v", err))
+		m.logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", m.k.Clock(), OneLine(err.Error()))
+	} else if err := m.sup.Start(); err != nil {
+		m.logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", m.k.Clock(), OneLine(err.Error()))
+	}
+	m.rng = stats.NewRand(stats.DeriveSeed(cfg.Seed, 2))
+	m.gen = m.sup.Generation()
+	m.prev = m.sup.Counters()
+	return m, nil
+}
+
+func (m *Machine) logf(format string, args ...any) {
+	m.log = append(m.log, m.prefix+fmt.Sprintf(format, args...))
+}
+
+// Step runs one workload step — connect and churn, disconnect, churn,
+// memory pressure or pool maintenance, drawn from the machine's op
+// stream — then one machine tick and the invariant check. It reports
+// false when the check fails; the violation is logged and kept.
+func (m *Machine) Step() bool {
+	if g := m.sup.Generation(); g != m.gen {
+		// A restarted generation invalidated every open connection.
+		m.gen, m.open = g, nil
+	}
+	switch m.rng.Intn(6) {
+	case 0, 1:
+		if id, err := m.sup.Connect(); err == nil {
+			m.open = append(m.open, id)
+			_ = m.sup.Churn(id, 4096)
+		}
+	case 2:
+		if len(m.open) > 0 {
+			i := m.rng.Intn(len(m.open))
+			_ = m.sup.Disconnect(m.open[i])
+			m.open = append(m.open[:i], m.open[i+1:]...)
+		}
+	case 3:
+		if len(m.open) > 0 {
+			_ = m.sup.Churn(m.open[m.rng.Intn(len(m.open))], 4096)
+		}
+	case 4:
+		if pid := m.sup.PID(); pid != 0 {
+			if _, err := m.k.MemoryPressure(pid, 2); err != nil {
+				m.logf("tick=%d ev=pressure-error op=churn attempt=0 wait=0 err=%q",
+					m.k.Clock(), OneLine(err.Error()))
+			}
+		}
+	case 5:
+		_ = m.sup.Maintain()
+	}
+	m.k.Tick()
+	if v := m.check(); v != "" {
+		m.violation = v
+		m.logf("tick=%d ev=violation step=%d err=%q", m.k.Clock(), m.steps, OneLine(v))
+		return false
+	}
+	m.prev = m.sup.Counters()
+	m.steps++
+	return true
+}
+
+// check asserts the machine invariants: structural consistency, monotone
+// recovery counters, and a clean effective-level audit. At a sealed
+// effective level the audit's rules include "zero allocated plaintext
+// key parts" — no plaintext at rest, re-provision windows included.
+func (m *Machine) check() string {
+	if err := m.k.Alloc().CheckConsistency(); err != nil {
+		return fmt.Sprintf("allocator inconsistent: %v", err)
+	}
+	if err := m.k.VM().CheckConsistency(); err != nil {
+		return fmt.Sprintf("vm inconsistent: %v", err)
+	}
+	cur := m.sup.Counters()
+	if cur.Retries < m.prev.Retries || cur.BackoffTicks < m.prev.BackoffTicks ||
+		cur.Recoveries < m.prev.Recoveries || cur.Exhaustions < m.prev.Exhaustions ||
+		cur.Reprovisions < m.prev.Reprovisions || cur.Restarts < m.prev.Restarts {
+		return fmt.Sprintf("recovery counters regressed: %+v -> %+v", m.prev, cur)
+	}
+	status := m.sup.Status()
+	if rep := core.NewWithStatus(m.k, status).AuditEffective(m.pat); !rep.OK() {
+		return fmt.Sprintf("audit violations at %s: %s",
+			status.Effective(), strings.Join(rep.Violations, "; "))
+	}
+	return ""
+}
+
+// Idle advances the machine clock one tick without a workload step, so a
+// parked or dead machine's backoff and scrub schedules stay live.
+func (m *Machine) Idle() { m.k.Tick() }
+
+// Stop shuts the server down (a failed stop is logged) and runs one last
+// machine tick.
+func (m *Machine) Stop() {
+	if err := m.sup.Stop(); err != nil {
+		m.logf("tick=%d ev=stop-error err=%q", m.k.Clock(), OneLine(err.Error()))
+	}
+	m.k.Tick()
+}
+
+// Supervisor returns the machine's supervisor.
+func (m *Machine) Supervisor() *Supervisor { return m.sup }
+
+// Violation returns the first invariant violation ("" = none).
+func (m *Machine) Violation() string { return m.violation }
+
+// Parks counts the machine's park events.
+func (m *Machine) Parks() int { return m.parks }
+
+// DrainLog appends the lines logged since the last drain to dst.
+func (m *Machine) DrainLog(dst []string) []string {
+	dst = append(dst, m.log...)
+	m.log = m.log[:0]
+	return dst
+}
+
 // StormResult is one storm's complete outcome.
 type StormResult struct {
-	Kind  Kind
+	Kind  server.Kind
 	Level protect.Level
 	Seed  int64
 	// Log is the deterministic event log, one line per entry.
@@ -145,147 +341,49 @@ type StormResult struct {
 func RunStorm(cfg StormConfig) (*StormResult, error) {
 	cfg.applyDefaults()
 	res := &StormResult{Kind: cfg.Kind, Level: cfg.Level, Seed: cfg.Seed}
-	logf := func(format string, args ...any) {
-		res.Log = append(res.Log, fmt.Sprintf(format, args...))
-	}
-	logf("storm kind=%s level=%s seed=%d steps=%d mem=%d swap=%d",
-		cfg.Kind, cfg.Level, cfg.Seed, cfg.Steps, cfg.MemPages, cfg.SwapPages)
+	res.Log = append(res.Log, fmt.Sprintf("storm kind=%s level=%s seed=%d steps=%d mem=%d swap=%d",
+		cfg.Kind, cfg.Level, cfg.Seed, cfg.Steps, stormMemPages, stormSwapPages))
 
-	k, err := kernel.New(kernel.Config{
-		MemPages:      cfg.MemPages,
-		SwapPages:     cfg.SwapPages,
-		DeallocPolicy: cfg.Level.KernelPolicy(),
-		FaultPlan:     cfg.Plan,
+	m, err := NewMachine(MachineConfig{
+		Kind: cfg.Kind, Level: cfg.Level, Seed: cfg.Seed,
+		Plan: DefaultStormPlan(cfg.Seed), KeyPath: "/etc/keys/soak.key",
 	})
 	if err != nil {
 		return nil, fmt.Errorf("soak: %w", err)
 	}
-	key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(cfg.Seed, 1)), cfg.KeyBits)
-	if err != nil {
-		return nil, fmt.Errorf("soak: %w", err)
-	}
-	patterns := scan.PatternsFor(key)
-	// The anchor is provisioned out-of-band, before the storm: the same
-	// trust model as the initial key install.
-	anchor := hsm.New()
-	slot, err := anchor.Import(key)
-	if err != nil {
-		return nil, fmt.Errorf("soak: %w", err)
-	}
-	status := protect.NewStatus(cfg.Level)
-	sup := New(k, Config{
-		Kind: cfg.Kind, KeyPath: "/etc/keys/soak.key", Level: cfg.Level,
-		Seed: stats.DeriveSeed(cfg.Seed, 3), Policy: cfg.Policy,
-		Anchor: anchor, AnchorSlot: slot, Status: status,
-		OnEvent: func(e Event) {
-			logf("tick=%d ev=%s op=%s attempt=%d wait=%d err=%q",
-				e.Tick, e.Kind, e.Op, e.Attempt, e.Wait, oneLine(e.Detail))
-		},
-	})
-	pem := key.MarshalPEM()
-	defer scrub.Bytes(pem)
-	if err := k.FS().WriteFile("/etc/keys/soak.key", pem); err != nil {
-		status.Refuse(fmt.Sprintf("key install: %v", err))
-		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), oneLine(err.Error()))
-	} else if err := sup.Start(); err != nil {
-		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), oneLine(err.Error()))
-	}
-
-	check := func(prev Counters) string {
-		if err := k.Alloc().CheckConsistency(); err != nil {
-			return fmt.Sprintf("allocator inconsistent: %v", err)
-		}
-		if err := k.VM().CheckConsistency(); err != nil {
-			return fmt.Sprintf("vm inconsistent: %v", err)
-		}
-		cur := sup.Counters()
-		if cur.Retries < prev.Retries || cur.BackoffTicks < prev.BackoffTicks ||
-			cur.Recoveries < prev.Recoveries || cur.Exhaustions < prev.Exhaustions ||
-			cur.Reprovisions < prev.Reprovisions || cur.Restarts < prev.Restarts {
-			return fmt.Sprintf("recovery counters regressed: %+v -> %+v", prev, cur)
-		}
-		// The effective-level audit is the no-false-security gate; at a
-		// sealed effective level its rules include "zero allocated
-		// plaintext key parts" — no plaintext at rest, re-provision
-		// windows included.
-		if rep := core.NewWithStatus(k, status).AuditEffective(patterns); !rep.OK() {
-			return fmt.Sprintf("audit violations at %s: %s",
-				status.Effective(), strings.Join(rep.Violations, "; "))
-		}
-		return ""
-	}
-
-	rng := stats.NewRand(stats.DeriveSeed(cfg.Seed, 2))
-	var open []int
-	gen := sup.Generation()
-	prev := sup.Counters()
-	step := 0
-	for ; step < cfg.Steps; step++ {
-		if sup.Failed() != nil || (!sup.Running() && step > 0) {
+	sup := m.sup
+	// The first step runs even after a refused start, so the refusal gets
+	// its tick and invariant check; later steps need a serving server.
+	for step := 0; step < cfg.Steps; step++ {
+		if (step > 0 && !sup.Running()) || !m.Step() {
 			break
 		}
-		if g := sup.Generation(); g != gen {
-			// A restarted generation invalidated every open connection.
-			gen, open = g, nil
-		}
-		switch rng.Intn(6) {
-		case 0, 1:
-			if id, err := sup.Connect(); err == nil {
-				open = append(open, id)
-				_ = sup.Churn(id, 4096)
-			}
-		case 2:
-			if len(open) > 0 {
-				i := rng.Intn(len(open))
-				_ = sup.Disconnect(open[i])
-				open = append(open[:i], open[i+1:]...)
-			}
-		case 3:
-			if len(open) > 0 {
-				_ = sup.Churn(open[rng.Intn(len(open))], 4096)
-			}
-		case 4:
-			if pid := sup.PID(); pid != 0 {
-				if _, err := k.MemoryPressure(pid, 2); err != nil {
-					logf("tick=%d ev=pressure-error op=churn attempt=0 wait=0 err=%q",
-						k.Clock(), oneLine(err.Error()))
-				}
-			}
-		case 5:
-			_ = sup.Maintain()
-		}
-		k.Tick()
-		if v := check(prev); v != "" {
-			res.InvariantErr = v
-			logf("tick=%d ev=violation step=%d err=%q", k.Clock(), step, oneLine(v))
-			break
-		}
-		prev = sup.Counters()
 	}
-	res.Survived = sup.Running() && res.InvariantErr == ""
-	if err := sup.Stop(); err != nil {
-		logf("tick=%d ev=stop-error err=%q", k.Clock(), oneLine(err.Error()))
-	}
-	k.Tick()
-	if res.InvariantErr == "" {
-		if v := check(prev); v != "" {
-			res.InvariantErr = v
-			logf("tick=%d ev=violation step=end err=%q", k.Clock(), oneLine(v))
+	res.Survived = sup.Running() && m.violation == ""
+	m.Stop()
+	if m.violation == "" {
+		if v := m.check(); v != "" {
+			m.violation = v
+			m.logf("tick=%d ev=violation step=end err=%q", m.k.Clock(), OneLine(v))
 		}
 	}
+	res.Log = m.DrainLog(res.Log)
+	res.InvariantErr = m.violation
 
+	status := sup.Status()
 	res.Counters = sup.Counters()
 	res.Generation = sup.Generation()
 	res.Epoch = sup.Epoch()
 	res.Refused, _ = status.Refused()
 	res.Effective = status.Effective()
-	rep := core.NewWithStatus(k, status).AuditEffective(patterns)
-	res.Fingerprint = stormFingerprint(k.Injector(), rep, status, res)
-	logf("final steps=%d survived=%v gen=%d epoch=%d retries=%d backoff=%d recoveries=%d exhaustions=%d reprovisions=%d restarts=%d",
-		step, res.Survived, res.Generation, res.Epoch,
-		res.Counters.Retries, res.Counters.BackoffTicks, res.Counters.Recoveries,
-		res.Counters.Exhaustions, res.Counters.Reprovisions, res.Counters.Restarts)
-	logf("final status=%q effective=%s fingerprint=%s", status.Summary(), res.Effective, res.Fingerprint)
+	rep := core.NewWithStatus(m.k, status).AuditEffective(m.pat)
+	res.Fingerprint = stormFingerprint(m.k.Injector(), rep, status, res)
+	res.Log = append(res.Log,
+		fmt.Sprintf("final steps=%d survived=%v gen=%d epoch=%d retries=%d backoff=%d recoveries=%d exhaustions=%d reprovisions=%d restarts=%d",
+			m.steps, res.Survived, res.Generation, res.Epoch,
+			res.Counters.Retries, res.Counters.BackoffTicks, res.Counters.Recoveries,
+			res.Counters.Exhaustions, res.Counters.Reprovisions, res.Counters.Restarts),
+		fmt.Sprintf("final status=%q effective=%s fingerprint=%s", status.Summary(), res.Effective, res.Fingerprint))
 	return res, nil
 }
 
@@ -312,8 +410,8 @@ func RunStorms(cfgs []StormConfig, workers int) ([]*StormResult, error) {
 	})
 }
 
-// oneLine flattens error text for the log: joined errors print multi-line
-// and the log's replay contract is line-oriented.
-func oneLine(s string) string {
+// OneLine flattens error text for a storm log: joined errors print
+// multi-line and the log's replay contract is line-oriented.
+func OneLine(s string) string {
 	return strings.ReplaceAll(s, "\n", " | ")
 }

@@ -1,10 +1,13 @@
 package supervise
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"memshield/internal/protect"
+	"memshield/internal/server"
+	"memshield/internal/stats"
 )
 
 // TestStormReplayByteIdentical runs one storm twice from the same seed
@@ -12,7 +15,7 @@ import (
 // chain — fault plan, backoff jitter, workload mix, re-provision epochs —
 // derives from the seed, so any divergence is nondeterminism.
 func TestStormReplayByteIdentical(t *testing.T) {
-	cfg := StormConfig{Kind: KindSSHD, Level: protect.LevelSealed, Seed: 42, Steps: 120}
+	cfg := StormConfig{Kind: server.KindSSHD, Level: protect.LevelSealed, Seed: 42, Steps: 120}
 	a, err := RunStorm(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +47,9 @@ func TestStormReplayByteIdentical(t *testing.T) {
 func TestStormsWorkerCountInvariance(t *testing.T) {
 	var cfgs []StormConfig
 	for i := 0; i < 6; i++ {
-		kind := KindSSHD
+		kind := server.KindSSHD
 		if i%2 == 1 {
-			kind = KindHTTPD
+			kind = server.KindHTTPD
 		}
 		cfgs = append(cfgs, StormConfig{
 			Kind: kind, Level: protect.LevelSealed, Seed: int64(1000 + i), Steps: 80,
@@ -78,7 +81,7 @@ func TestStormsWorkerCountInvariance(t *testing.T) {
 func TestStormSweepHoldsInvariants(t *testing.T) {
 	var cfgs []StormConfig
 	levels := []protect.Level{protect.LevelIntegrated, protect.LevelSecureDealloc, protect.LevelSealed}
-	for _, kind := range []Kind{KindSSHD, KindHTTPD} {
+	for _, kind := range []server.Kind{server.KindSSHD, server.KindHTTPD} {
 		for li, level := range levels {
 			for i := 0; i < 2; i++ {
 				cfgs = append(cfgs, StormConfig{
@@ -131,7 +134,7 @@ func TestStormDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Kind != KindSSHD || r.Level != protect.LevelSealed || r.Seed != 9 {
+	if r.Kind != server.KindSSHD || r.Level != protect.LevelSealed || r.Seed != 9 {
 		t.Fatalf("defaults not applied: %+v", r)
 	}
 	if len(r.Log) == 0 || r.Fingerprint == "" {
@@ -141,4 +144,53 @@ func TestStormDefaultsApplied(t *testing.T) {
 	if !strings.Contains(last, "fingerprint=") {
 		t.Fatalf("final log line should carry the fingerprint: %q", last)
 	}
+}
+
+// logFNV is the 64-bit FNV-1a of a log, each line "\n"-terminated.
+func logFNV(log []string) uint64 {
+	h := fnv.New64a()
+	for _, line := range log {
+		_, _ = h.Write([]byte(line))
+		_, _ = h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}
+
+// TestStormLogGolden pins the full event log of storm 1 of `soak -storms 6
+// -steps 120 -seed 2007`: retries, a fail-closed reseal, a re-provision
+// whose restart is refused, the dead supervisor and the final census.
+// Replay tests only compare a run with itself; this one catches a change
+// that moves every run the same way.
+func TestStormLogGolden(t *testing.T) {
+	r, err := RunStorm(StormConfig{Seed: stats.DeriveSeed(2007, 1), Steps: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = uint64(0x3d66f1f423dab0dd)
+	if got := logFNV(r.Log); got != want {
+		t.Fatalf("storm log FNV-1a = %#016x, want %#016x; log:\n%s", got, want, strings.Join(r.Log, "\n"))
+	}
+}
+
+// TestStormRefusalReportsOnlyTheFault: storm 5 of `soak -storms 6 -steps
+// 120 -seed 2007` refuses its start when the zero-on-free scrub faults
+// while MemoryAlign releases the emptied heap arena. The refusal names
+// that fault and nothing else — no bad free from releasing a key part
+// twice on the scrap path.
+func TestStormRefusalReportsOnlyTheFault(t *testing.T) {
+	r, err := RunStorm(StormConfig{Seed: stats.DeriveSeed(2007, 5), Steps: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `tick=4 ev=refused op=start attempt=0 wait=0 err="sshd: host key: ssl: memory align: ` +
+		`vm: release frame 527: alloc: zero on free failed: fault: injected failure at alloc.ZeroOnFree (call 17)"`
+	for _, line := range r.Log {
+		if strings.Contains(line, "ev=refused") {
+			if line != want {
+				t.Fatalf("refusal line:\n got %s\nwant %s", line, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("storm never refused its start; log:\n%s", strings.Join(r.Log, "\n"))
 }

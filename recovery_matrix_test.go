@@ -40,6 +40,7 @@ import (
 	"memshield/internal/libc"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
+	"memshield/internal/server"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
 	"memshield/internal/supervise"
@@ -269,9 +270,9 @@ func runRecoveryScenario(kind string, level protect.Level, seed int64) recoveryO
 		return out
 	}
 	status := protect.NewStatus(level)
-	supKind := supervise.KindSSHD
+	supKind := server.KindSSHD
 	if kind == "httpd" {
-		supKind = supervise.KindHTTPD
+		supKind = server.KindHTTPD
 	}
 	sup := supervise.New(k, supervise.Config{
 		Kind: supKind, KeyPath: faultKeyPath, Level: level,
