@@ -2,6 +2,7 @@
 # commands; `make lint` is the static gate every PR must pass.
 
 GO ?= go
+FUZZTIME ?= 30s
 
 .PHONY: all build test race lint lint-cold lint-json lint-self test-faults soak soak-smoke bench-smoke bench-json fleet-smoke fuzz figures figures-smoke
 
@@ -95,12 +96,16 @@ fleet-smoke:
 	$(GO) test -race -run 'TestShardWorkerInvariance|TestChurnNeverPerturbsPopulation|TestFleetStorm' ./internal/fleet
 	$(GO) run ./cmd/soak -fleet 4 -rounds 6 -steps 40 -budget 2 -workers 4 -verify -log fleet-events.log
 
-# Short fuzz smoke over every fuzz target (30s each).
+# Short fuzz smoke over every fuzz target, FUZZTIME each (CI runs
+# `make fuzz FUZZTIME=5s`). -fuzz takes one target per run, so each
+# target gets its own anchored line.
 fuzz:
-	$(GO) test -fuzz=FuzzReadInteger -fuzztime=30s ./internal/crypto/der
-	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/crypto/pemfile
-	$(GO) test -fuzz=FuzzFindPlanted -fuzztime=30s ./internal/scan
-	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder
+	$(GO) test -run '^$$' -fuzz='^FuzzReadInteger$$' -fuzztime=$(FUZZTIME) ./internal/crypto/der
+	$(GO) test -run '^$$' -fuzz='^FuzzReadSequence$$' -fuzztime=$(FUZZTIME) ./internal/crypto/der
+	$(GO) test -run '^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/crypto/pemfile
+	$(GO) test -run '^$$' -fuzz='^FuzzParseDER$$' -fuzztime=$(FUZZTIME) ./internal/crypto/rsakey
+	$(GO) test -run '^$$' -fuzz='^FuzzFindPlanted$$' -fuzztime=$(FUZZTIME) ./internal/scan
+	$(GO) test -run '^$$' -fuzz='^FuzzKeyfinderDERWalk$$' -fuzztime=$(FUZZTIME) ./internal/keyfinder
 
 figures:
 	$(GO) run ./cmd/figures -all

@@ -15,6 +15,7 @@ import (
 
 	"memshield"
 	"memshield/internal/protect"
+	"memshield/internal/server"
 	"memshield/internal/stats"
 )
 
@@ -25,31 +26,26 @@ func main() {
 	}
 }
 
-func parseLevel(s string) (protect.Level, error) {
-	for _, l := range protect.All() {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown level %q", s)
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("attack", flag.ContinueOnError)
 	var (
-		kind   = fs.String("attack", "ext2", "attack to mount: ext2 or tty")
-		server = fs.String("server", "ssh", "victim server: ssh or apache")
-		level  = fs.String("level", "none", "protection level deployed on the victim")
-		conns  = fs.Int("conns", 50, "connections the server handles before the attack")
-		dirs   = fs.Int("dirs", 2000, "directories to create (ext2 attack)")
-		trials = fs.Int("trials", 20, "dump trials (tty attack)")
-		memMB  = fs.Int("mem-mb", 32, "simulated physical memory in MiB")
-		seed   = fs.Int64("seed", 2007, "seed")
+		kind    = fs.String("attack", "ext2", "attack to mount: ext2 or tty")
+		srvName = fs.String("server", "ssh", "victim server: ssh or apache")
+		level   = fs.String("level", "none", "protection level deployed on the victim")
+		conns   = fs.Int("conns", 50, "connections the server handles before the attack")
+		dirs    = fs.Int("dirs", 2000, "directories to create (ext2 attack)")
+		trials  = fs.Int("trials", 20, "dump trials (tty attack)")
+		memMB   = fs.Int("mem-mb", 32, "simulated physical memory in MiB")
+		seed    = fs.Int64("seed", 2007, "seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lvl, err := parseLevel(*level)
+	lvl, err := protect.ParseLevel(*level)
+	if err != nil {
+		return err
+	}
+	srvKind, err := server.ParseKind(*srvName)
 	if err != nil {
 		return err
 	}
@@ -64,30 +60,27 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var connect func() (int, error)
-	var disconnect func(int) error
-	switch *server {
-	case "ssh", "openssh":
+	var srv server.Handle
+	switch srvKind {
+	case server.KindSSHD:
 		s, err := m.StartSSH(lvl, key.Path)
 		if err != nil {
 			return err
 		}
-		connect, disconnect = s.Connect, s.Disconnect
-	case "apache", "httpd":
+		srv = server.SSHD(s)
+	case server.KindHTTPD:
 		s, err := m.StartApache(lvl, key.Path)
 		if err != nil {
 			return err
 		}
-		connect, disconnect = s.Connect, s.Disconnect
-	default:
-		return fmt.Errorf("unknown server %q", *server)
+		srv = server.HTTPD(s)
 	}
 
 	fmt.Fprintf(out, "victim: %s at level %s, %d connections, %d MiB RAM\n",
-		*server, lvl, *conns, *memMB)
+		*srvName, lvl, *conns, *memMB)
 	ids := make([]int, 0, *conns)
 	for i := 0; i < *conns; i++ {
-		id, err := connect()
+		id, err := srv.Connect()
 		if err != nil {
 			return fmt.Errorf("connect %d: %w", i, err)
 		}
@@ -99,7 +92,7 @@ func run(args []string, out io.Writer) error {
 		// The ext2 attack harvests freed pages: close the connections
 		// first, as the paper's script does.
 		for _, id := range ids {
-			if err := disconnect(id); err != nil {
+			if err := srv.Disconnect(id); err != nil {
 				return err
 			}
 		}

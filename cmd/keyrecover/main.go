@@ -18,6 +18,7 @@ import (
 
 	"memshield"
 	"memshield/internal/protect"
+	"memshield/internal/server"
 )
 
 func main() {
@@ -27,30 +28,25 @@ func main() {
 	}
 }
 
-func parseLevel(s string) (protect.Level, error) {
-	for _, l := range protect.All() {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown level %q", s)
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("keyrecover", flag.ContinueOnError)
 	var (
-		server = fs.String("server", "ssh", "victim server: ssh or apache")
-		level  = fs.String("level", "none", "protection level deployed on the victim")
-		conns  = fs.Int("conns", 10, "connections the server handles before the capture")
-		dump   = fs.String("dump", "tty", "capture: tty (~50% of RAM) or full")
-		stride = fs.Int("stride", 16, "factor-scan stride in bytes (1 = exhaustive)")
-		memMB  = fs.Int("mem-mb", 16, "simulated physical memory in MiB")
-		seed   = fs.Int64("seed", 2007, "seed")
+		srvName = fs.String("server", "ssh", "victim server: ssh or apache")
+		level   = fs.String("level", "none", "protection level deployed on the victim")
+		conns   = fs.Int("conns", 10, "connections the server handles before the capture")
+		dump    = fs.String("dump", "tty", "capture: tty (~50% of RAM) or full")
+		stride  = fs.Int("stride", 16, "factor-scan stride in bytes (1 = exhaustive)")
+		memMB   = fs.Int("mem-mb", 16, "simulated physical memory in MiB")
+		seed    = fs.Int64("seed", 2007, "seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lvl, err := parseLevel(*level)
+	lvl, err := protect.ParseLevel(*level)
+	if err != nil {
+		return err
+	}
+	srvKind, err := server.ParseKind(*srvName)
 	if err != nil {
 		return err
 	}
@@ -64,25 +60,23 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var connect func() (int, error)
-	switch *server {
-	case "ssh", "openssh":
+	var srv server.Handle
+	switch srvKind {
+	case server.KindSSHD:
 		s, err := m.StartSSH(lvl, key.Path)
 		if err != nil {
 			return err
 		}
-		connect = s.Connect
-	case "apache", "httpd":
+		srv = server.SSHD(s)
+	case server.KindHTTPD:
 		s, err := m.StartApache(lvl, key.Path)
 		if err != nil {
 			return err
 		}
-		connect = s.Connect
-	default:
-		return fmt.Errorf("unknown server %q", *server)
+		srv = server.HTTPD(s)
 	}
 	for i := 0; i < *conns; i++ {
-		if _, err := connect(); err != nil {
+		if _, err := srv.Connect(); err != nil {
 			return err
 		}
 	}
@@ -114,7 +108,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "victim: %s at level %s, %d connections; attacker holds only the public key\n",
-		*server, lvl, *conns)
+		*srvName, lvl, *conns)
 	rec := memshield.RecoverKey(image, key, memshield.RecoveryOptions{
 		FactorStride: *stride,
 	})

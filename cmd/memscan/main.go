@@ -17,6 +17,7 @@ import (
 	"memshield"
 	"memshield/internal/protect"
 	"memshield/internal/report"
+	"memshield/internal/server"
 )
 
 func main() {
@@ -26,19 +27,10 @@ func main() {
 	}
 }
 
-func parseLevel(s string) (protect.Level, error) {
-	for _, l := range protect.All() {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown level %q", s)
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("memscan", flag.ContinueOnError)
 	var (
-		server  = fs.String("server", "ssh", "server to run: ssh or apache")
+		srvName = fs.String("server", "ssh", "server to run: ssh or apache")
 		level   = fs.String("level", "none", "protection level")
 		conns   = fs.Int("conns", 8, "connections to open (half are closed again before the scan)")
 		memMB   = fs.Int("mem-mb", 32, "simulated physical memory in MiB")
@@ -49,7 +41,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lvl, err := parseLevel(*level)
+	lvl, err := protect.ParseLevel(*level)
+	if err != nil {
+		return err
+	}
+	srvKind, err := server.ParseKind(*srvName)
 	if err != nil {
 		return err
 	}
@@ -68,34 +64,31 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var connect func() (int, error)
-	var disconnect func(int) error
-	switch *server {
-	case "ssh", "openssh":
+	var srv server.Handle
+	switch srvKind {
+	case server.KindSSHD:
 		s, err := m.StartSSH(lvl, key.Path)
 		if err != nil {
 			return err
 		}
-		connect, disconnect = s.Connect, s.Disconnect
-	case "apache", "httpd":
+		srv = server.SSHD(s)
+	case server.KindHTTPD:
 		s, err := m.StartApache(lvl, key.Path)
 		if err != nil {
 			return err
 		}
-		connect, disconnect = s.Connect, s.Disconnect
-	default:
-		return fmt.Errorf("unknown server %q", *server)
+		srv = server.HTTPD(s)
 	}
 	ids := make([]int, 0, *conns)
 	for i := 0; i < *conns; i++ {
-		id, err := connect()
+		id, err := srv.Connect()
 		if err != nil {
 			return err
 		}
 		ids = append(ids, id)
 	}
 	for _, id := range ids[:len(ids)/2] {
-		if err := disconnect(id); err != nil {
+		if err := srv.Disconnect(id); err != nil {
 			return err
 		}
 	}
@@ -117,7 +110,7 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprint(out, report.RenderTable(
 		fmt.Sprintf("Key copies in physical memory (%s, level %s, %d conns opened, %d closed)",
-			*server, lvl, *conns, len(ids)/2),
+			*srvName, lvl, *conns, len(ids)/2),
 		[]string{"address", "part", "state", "owner", "pids"}, rows))
 	sum := m.Scan(key)
 	fmt.Fprintf(out, "\ntotal=%d allocated=%d unallocated=%d by-part=%v\n",

@@ -18,6 +18,7 @@ import (
 	"memshield/internal/figures"
 	"memshield/internal/mem"
 	"memshield/internal/protect"
+	"memshield/internal/server"
 	"memshield/internal/sim"
 )
 
@@ -28,30 +29,23 @@ func main() {
 	}
 }
 
-func parseLevel(s string) (protect.Level, error) {
-	for _, l := range protect.All() {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown level %q (want none, application, library, kernel, integrated, secure-dealloc or sealed)", s)
-}
-
+// parseKind maps a -server name (server.ParseKind) onto the timeline's
+// server kind.
 func parseKind(s string) (sim.ServerKind, error) {
-	switch s {
-	case "ssh", "openssh":
-		return sim.KindSSH, nil
-	case "apache", "httpd":
-		return sim.KindApache, nil
-	default:
-		return 0, fmt.Errorf("unknown server %q (want ssh or apache)", s)
+	kind, err := server.ParseKind(s)
+	if err != nil {
+		return 0, err
 	}
+	if kind == server.KindHTTPD {
+		return sim.KindApache, nil
+	}
+	return sim.KindSSH, nil
 }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	var (
-		server  = fs.String("server", "ssh", "server to simulate: ssh or apache")
+		srvName = fs.String("server", "ssh", "server to simulate: ssh or apache")
 		level   = fs.String("level", "none", "protection level: none, application, library, kernel, integrated, secure-dealloc, sealed")
 		memMB   = fs.Int("mem-mb", 32, "simulated physical memory in MiB")
 		seed    = fs.Int64("seed", 2007, "simulation seed")
@@ -60,11 +54,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kind, err := parseKind(*server)
+	kind, err := parseKind(*srvName)
 	if err != nil {
 		return err
 	}
-	lvl, err := parseLevel(*level)
+	lvl, err := protect.ParseLevel(*level)
 	if err != nil {
 		return err
 	}

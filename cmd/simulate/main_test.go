@@ -21,12 +21,6 @@ func TestRunTimeline(t *testing.T) {
 }
 
 func TestParseHelpers(t *testing.T) {
-	if _, err := parseLevel("kernel"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parseLevel("bogus"); err == nil {
-		t.Fatal("bogus level should error")
-	}
 	if _, err := parseKind("apache"); err != nil {
 		t.Fatal(err)
 	}
@@ -59,5 +53,21 @@ func TestRunWithPlotDir(t *testing.T) {
 	}
 	if len(entries) != 3 { // counts.dat, counts.gp, locations.dat
 		t.Fatalf("artifacts = %d, want 3", len(entries))
+	}
+}
+
+// TestRunAcceptsSSHDSpelling: every spelling server.ParseKind accepts
+// selects the same timeline.
+func TestRunAcceptsSSHDSpelling(t *testing.T) {
+	args := []string{"-level", "integrated", "-mem-mb", "8", "-seed", "3", "-server"}
+	var ssh, sshd bytes.Buffer
+	if err := run(append(args, "ssh"), &ssh); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "sshd"), &sshd); err != nil {
+		t.Fatalf("-server sshd: %v", err)
+	}
+	if ssh.String() != sshd.String() {
+		t.Error("-server sshd and -server ssh print different timelines")
 	}
 }

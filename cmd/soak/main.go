@@ -41,30 +41,10 @@ func main() {
 	}
 }
 
-func parseLevel(s string) (protect.Level, error) {
-	for _, l := range protect.All() {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown level %q (want none, application, library, kernel, integrated, secure-dealloc or sealed)", s)
-}
-
-func parseKind(s string) (server.Kind, error) {
-	switch s {
-	case "ssh", "sshd", "openssh":
-		return server.KindSSHD, nil
-	case "apache", "httpd":
-		return server.KindHTTPD, nil
-	default:
-		return "", fmt.Errorf("unknown server %q (want ssh or apache)", s)
-	}
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
 	var (
-		server  = fs.String("server", "ssh", "server to soak: ssh or apache")
+		srvName = fs.String("server", "ssh", "server to soak: ssh or apache")
 		level   = fs.String("level", "sealed", "protection level under storm")
 		seed    = fs.Int64("seed", 2007, "master seed; storm i derives its own sub-seed")
 		storms  = fs.Int("storms", 4, "number of independent storms")
@@ -79,11 +59,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kind, err := parseKind(*server)
+	kind, err := server.ParseKind(*srvName)
 	if err != nil {
 		return err
 	}
-	lvl, err := parseLevel(*level)
+	lvl, err := protect.ParseLevel(*level)
 	if err != nil {
 		return err
 	}

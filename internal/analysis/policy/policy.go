@@ -125,6 +125,10 @@ var SimMachinePackages = []string{
 	// the same obligation (its event heap is hand-rolled with ok-bool
 	// returns for exactly this reason).
 	"memshield/internal/fleet",
+	// The machine recipe boots every fleet and storm machine, under the
+	// storm's fault plan too: a failed boot or key install there must be
+	// an error the storm can log, never a crash.
+	"memshield/internal/provision",
 }
 
 // SuppressionBudget caps the number of inline //memlint:allow directives

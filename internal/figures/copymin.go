@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"strings"
 
-	"memshield/internal/crypto/rsakey"
 	"memshield/internal/kernel"
+	"memshield/internal/provision"
 	"memshield/internal/report"
 	"memshield/internal/runner"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server/sshd"
-	"memshield/internal/stats"
 )
 
 // CopyMinRow is one ingredient combination's outcome.
@@ -63,24 +61,14 @@ func CopyMinAblation(cfg Config) (*CopyMinResult, error) {
 	rows, err := runner.Map(cfg.Workers, len(variants), func(vi int) (CopyMinRow, error) {
 		v := variants[vi]
 		cellSeed := cfg.deriveSeed(labelCopyMin, int64(vi))
-		k, err := kernel.New(kernel.Config{
-			MemPages:      memPages,
-			DeallocPolicy: v.level.KernelPolicy(),
+		k, keys, err := provision.Provision(provision.Recipe{
+			Kernel:       kernel.Config{MemPages: memPages, DeallocPolicy: v.level.KernelPolicy()},
+			Keys:         []provision.Key{{Path: keyPath, Bits: cfg.KeyBits, Seed: subSeed(cellSeed, 1)}},
+			Scramble:     true,
+			ScrambleSeed: subSeed(cellSeed, 2),
 		})
 		if err != nil {
 			return CopyMinRow{}, fmt.Errorf("figures: copymin: %w", err)
-		}
-		key, err := rsakey.Generate(stats.NewReader(subSeed(cellSeed, 1)), cfg.KeyBits)
-		if err != nil {
-			return CopyMinRow{}, err
-		}
-		pemBytes := key.MarshalPEM()
-		defer scrub.Bytes(pemBytes)
-		if err := k.FS().WriteFile(keyPath, pemBytes); err != nil {
-			return CopyMinRow{}, err
-		}
-		if err := k.ScrambleFreeMemory(subSeed(cellSeed, 2)); err != nil {
-			return CopyMinRow{}, err
 		}
 		srv, err := sshd.Start(k, sshd.Config{
 			KeyPath: keyPath, Level: v.level, Tweaks: v.tweaks, Seed: subSeed(cellSeed, 3),
@@ -88,7 +76,7 @@ func CopyMinAblation(cfg Config) (*CopyMinResult, error) {
 		if err != nil {
 			return CopyMinRow{}, err
 		}
-		patterns := scan.PatternsFor(key)
+		patterns := scan.PatternsFor(keys[0])
 		sc := scan.New(k, patterns)
 		base := scan.Summarize(sc.Scan()).Total
 		for i := 0; i < conns; i++ {

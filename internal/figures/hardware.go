@@ -8,10 +8,10 @@ import (
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
+	"memshield/internal/provision"
 	"memshield/internal/report"
 	"memshield/internal/runner"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
 )
@@ -61,19 +61,19 @@ func Hardware(cfg Config) (*HardwareResult, error) {
 	rows, err := runner.Map(cfg.Workers, len(setups), func(si int) (HardwareRow, error) {
 		st := setups[si]
 		cellSeed := cfg.deriveSeed(labelHardware, int64(si))
-		k, err := kernel.New(kernel.Config{
-			MemPages:      memPages,
-			DeallocPolicy: levelIntegrated.KernelPolicy(),
-		})
-		if err != nil {
-			return HardwareRow{}, fmt.Errorf("figures: hardware: %w", err)
-		}
+		// The key file is installed after the scramble, and only in the
+		// software variant: the HSM variant never writes one.
 		key, err := rsakey.Generate(stats.NewReader(subSeed(cellSeed, 1)), cfg.KeyBits)
 		if err != nil {
 			return HardwareRow{}, err
 		}
-		if err := k.ScrambleFreeMemory(subSeed(cellSeed, 2)); err != nil {
-			return HardwareRow{}, err
+		k, _, err := provision.Provision(provision.Recipe{
+			Kernel:       kernel.Config{MemPages: memPages, DeallocPolicy: levelIntegrated.KernelPolicy()},
+			Scramble:     true,
+			ScrambleSeed: subSeed(cellSeed, 2),
+		})
+		if err != nil {
+			return HardwareRow{}, fmt.Errorf("figures: hardware: %w", err)
 		}
 		patterns := scan.PatternsFor(key)
 		var srv *sshd.Server
@@ -92,9 +92,7 @@ func Hardware(cfg Config) (*HardwareResult, error) {
 				return HardwareRow{}, err
 			}
 		} else {
-			pemBytes := key.MarshalPEM()
-			defer scrub.Bytes(pemBytes)
-			if err := k.FS().WriteFile(keyPath, pemBytes); err != nil {
+			if err := provision.InstallPEM(k, keyPath, key); err != nil {
 				return HardwareRow{}, err
 			}
 			srv, err = sshd.Start(k, sshd.Config{

@@ -3,15 +3,14 @@ package figures
 import (
 	"fmt"
 
-	"memshield/internal/crypto/rsakey"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
+	"memshield/internal/provision"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
+	"memshield/internal/server"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/sim"
-	"memshield/internal/stats"
 )
 
 // ServerKind aliases sim.ServerKind for the figures API.
@@ -42,23 +41,21 @@ const keyPath = "/etc/ssl/private/server.key"
 // loadedServer is a machine with a running server and its scan patterns,
 // ready to be attacked.
 type loadedServer struct {
-	k          *kernel.Kernel
-	patterns   []scan.Pattern
-	stop       func() error
-	open       []int
-	disconnect func(id int) error
-	maintain   func() error
+	k        *kernel.Kernel
+	patterns []scan.Pattern
+	srv      server.Handle
+	open     []int
 }
 
 // closeAll closes every open connection and runs pool maintenance.
 func (ls *loadedServer) closeAll() error {
 	for _, id := range ls.open {
-		if err := ls.disconnect(id); err != nil {
+		if err := ls.srv.Disconnect(id); err != nil {
 			return err
 		}
 	}
 	ls.open = nil
-	return ls.maintain()
+	return ls.srv.Maintain()
 }
 
 // disconnectOne closes one connection by ID, removing it from the open set.
@@ -69,7 +66,7 @@ func (ls *loadedServer) disconnectOne(id int) error {
 			break
 		}
 	}
-	return ls.disconnect(id)
+	return ls.srv.Disconnect(id)
 }
 
 // scanSummary runs the memory scanner for ground truth.
@@ -118,26 +115,16 @@ func (ls *loadedServer) settleBeforeAttack(seed int64) error {
 // generation, the free-memory scramble and the server get derived
 // sub-streams.
 func buildLoadedServer(kind ServerKind, level protect.Level, memPages, keyBits, conns int, seed int64) (*loadedServer, error) {
-	k, err := kernel.New(kernel.Config{
-		MemPages:      memPages,
-		DeallocPolicy: level.KernelPolicy(),
+	k, keys, err := provision.Provision(provision.Recipe{
+		Kernel:       kernel.Config{MemPages: memPages, DeallocPolicy: level.KernelPolicy()},
+		Keys:         []provision.Key{{Path: keyPath, Bits: keyBits, Seed: subSeed(seed, 1)}},
+		Scramble:     true,
+		ScrambleSeed: subSeed(seed, 2),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("figures: %w", err)
 	}
-	key, err := rsakey.Generate(stats.NewReader(subSeed(seed, 1)), keyBits)
-	if err != nil {
-		return nil, fmt.Errorf("figures: %w", err)
-	}
-	pemBytes := key.MarshalPEM()
-	defer scrub.Bytes(pemBytes)
-	if err := k.FS().WriteFile(keyPath, pemBytes); err != nil {
-		return nil, fmt.Errorf("figures: %w", err)
-	}
-	if err := k.ScrambleFreeMemory(subSeed(seed, 2)); err != nil {
-		return nil, fmt.Errorf("figures: %w", err)
-	}
-	ls := &loadedServer{k: k, patterns: scan.PatternsFor(key)}
+	ls := &loadedServer{k: k, patterns: scan.PatternsFor(keys[0])}
 	srvSeed := subSeed(seed, 3)
 	switch kind {
 	case KindSSH:
@@ -145,16 +132,7 @@ func buildLoadedServer(kind ServerKind, level protect.Level, memPages, keyBits, 
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < conns; i++ {
-			id, err := s.Connect()
-			if err != nil {
-				return nil, fmt.Errorf("figures: connect %d/%d: %w", i, conns, err)
-			}
-			ls.open = append(ls.open, id)
-		}
-		ls.stop = s.Stop
-		ls.disconnect = s.Disconnect
-		ls.maintain = func() error { return nil }
+		ls.srv = server.SSHD(s)
 	case KindApache:
 		s, err := httpd.Start(k, httpd.Config{
 			KeyPath: keyPath, Level: level, Seed: srvSeed,
@@ -163,22 +141,20 @@ func buildLoadedServer(kind ServerKind, level protect.Level, memPages, keyBits, 
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < conns; i++ {
-			id, err := s.Connect()
-			if err != nil {
-				return nil, fmt.Errorf("figures: connect %d/%d: %w", i, conns, err)
-			}
-			ls.open = append(ls.open, id)
-		}
-		ls.stop = s.Stop
-		ls.disconnect = s.Disconnect
 		// The prefork pool shrinks back towards MaxSpareServers once the
-		// load drops, dropping the reaped workers' key copies into
-		// unallocated memory — which is what the ext2 attack harvests in
-		// the Apache case.
-		ls.maintain = s.MaintainSpares
+		// load drops (Maintain), dropping the reaped workers' key copies
+		// into unallocated memory — which is what the ext2 attack
+		// harvests in the Apache case.
+		ls.srv = server.HTTPD(s)
 	default:
 		return nil, fmt.Errorf("figures: unknown kind %v", kind)
+	}
+	for i := 0; i < conns; i++ {
+		id, err := ls.srv.Connect()
+		if err != nil {
+			return nil, fmt.Errorf("figures: connect %d/%d: %w", i, conns, err)
+		}
+		ls.open = append(ls.open, id)
 	}
 	return ls, nil
 }

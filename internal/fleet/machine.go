@@ -5,10 +5,9 @@ import (
 	"math"
 	"runtime"
 
-	"memshield/internal/crypto/rsakey"
 	"memshield/internal/kernel"
+	"memshield/internal/provision"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
@@ -151,10 +150,19 @@ func tenantKeyPath(t int) string { return fmt.Sprintf("/etc/keys/tenant-%d.key",
 // churn gaps.
 func newMachine(cfg Config, idx int) (*machine, error) {
 	base := stats.DeriveSeed(cfg.Seed, int64(idx))
-	k, err := kernel.New(kernel.Config{
-		MemPages:      cfg.MemPages,
-		SwapPages:     cfg.SwapPages,
-		DeallocPolicy: cfg.Level.KernelPolicy(),
+	specs := make([]provision.Key, cfg.Tenants)
+	for t := range specs {
+		specs[t] = provision.Key{Path: tenantKeyPath(t), Bits: cfg.KeyBits, Seed: stats.DeriveSeed(base, 3, int64(t))}
+	}
+	k, keys, err := provision.Provision(provision.Recipe{
+		Kernel: kernel.Config{
+			MemPages:      cfg.MemPages,
+			SwapPages:     cfg.SwapPages,
+			DeallocPolicy: cfg.Level.KernelPolicy(),
+		},
+		Keys:         specs,
+		Scramble:     true,
+		ScrambleSeed: stats.DeriveSeed(base, 5),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: machine %d: %w", idx, err)
@@ -172,23 +180,10 @@ func newMachine(cfg Config, idx int) (*machine, error) {
 		m.freeSlots = append(m.freeSlots, int32(i))
 	}
 	var patterns []scan.Pattern
-	for t := 0; t < cfg.Tenants; t++ {
-		key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(base, 3, int64(t))), cfg.KeyBits)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: machine %d tenant %d: %w", idx, t, err)
-		}
-		pem := key.MarshalPEM()
-		err = k.FS().WriteFile(tenantKeyPath(t), pem)
-		scrub.Bytes(pem)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: machine %d tenant %d: %w", idx, t, err)
-		}
-		if cfg.SampleEvery > 0 {
+	if cfg.SampleEvery > 0 {
+		for _, key := range keys {
 			patterns = append(patterns, scan.PatternsFor(key)...)
 		}
-	}
-	if err := k.ScrambleFreeMemory(stats.DeriveSeed(base, 5)); err != nil {
-		return nil, fmt.Errorf("fleet: machine %d: %w", idx, err)
 	}
 	for t := 0; t < cfg.Tenants; t++ {
 		srv, err := m.startTenant(t)

@@ -54,17 +54,6 @@ type Config struct {
 	FaultPlan *fault.Plan
 }
 
-// DefaultConfig returns the unpatched machine used in the paper's threat
-// assessment: 32 MiB RAM (scaled down from the testbed's 256 MiB; figure
-// harnesses override), small swap, vulnerable ext2, retain-on-free.
-func DefaultConfig() Config {
-	return Config{
-		MemPages:      32 * 1024 * 1024 / mem.PageSize,
-		SwapPages:     256,
-		DeallocPolicy: alloc.PolicyRetain,
-	}
-}
-
 // Kernel is one booted simulated machine.
 type Kernel struct {
 	memory   *mem.Memory

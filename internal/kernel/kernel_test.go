@@ -19,19 +19,6 @@ func boot(t *testing.T, cfg Config) *Kernel {
 	return k
 }
 
-func TestDefaultConfigBoots(t *testing.T) {
-	k := boot(t, DefaultConfig())
-	if k.Mem().NumPages() != 8192 {
-		t.Fatalf("pages = %d, want 8192 (32 MiB)", k.Mem().NumPages())
-	}
-	if k.Alloc().Policy() != alloc.PolicyRetain {
-		t.Fatal("default policy should be retain")
-	}
-	if k.FS().LeakFixed() {
-		t.Fatal("default fs should be vulnerable")
-	}
-}
-
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{MemPages: 0}); err == nil {
 		t.Fatal("want error for zero memory")

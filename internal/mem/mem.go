@@ -155,11 +155,6 @@ func New(numPages int) (*Memory, error) {
 	return m, nil
 }
 
-// NewMB creates a machine with the given amount of memory in mebibytes.
-func NewMB(mb int) (*Memory, error) {
-	return New(mb * 1024 * 1024 / PageSize)
-}
-
 // NumPages returns the number of page frames.
 func (m *Memory) NumPages() int { return len(m.frames) }
 

@@ -42,16 +42,6 @@ func TestNewBootsFreeAndZero(t *testing.T) {
 	}
 }
 
-func TestNewMB(t *testing.T) {
-	m, err := NewMB(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.NumPages(); got != 256 {
-		t.Fatalf("1 MB = %d pages, want 256", got)
-	}
-}
-
 func TestAddrConversions(t *testing.T) {
 	tests := []struct {
 		addr   Addr

@@ -71,6 +71,16 @@ func (l Level) String() string {
 	}
 }
 
+// ParseLevel reads a level by its String name, as the CLIs accept it.
+func ParseLevel(s string) (Level, error) {
+	for _, l := range All() {
+		if l.String() == s {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown level %q (want none, application, library, kernel, integrated, secure-dealloc or sealed)", s)
+}
+
 // Valid reports whether l names a defined level.
 func (l Level) Valid() bool {
 	return l >= LevelNone && l <= LevelSealed

@@ -85,3 +85,17 @@ func TestInvalidLevel(t *testing.T) {
 		t.Fatal("unknown level should still format")
 	}
 }
+
+func TestParseLevel(t *testing.T) {
+	for _, l := range All() {
+		got, err := ParseLevel(l.String())
+		if err != nil || got != l {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v", l.String(), got, err, l)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "Integrated", "Level(3)"} {
+		if _, err := ParseLevel(bad); err == nil {
+			t.Errorf("ParseLevel(%q): want error", bad)
+		}
+	}
+}

@@ -10,6 +10,8 @@
 package server
 
 import (
+	"fmt"
+
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 )
@@ -22,6 +24,19 @@ const (
 	KindSSHD  Kind = "sshd"
 	KindHTTPD Kind = "httpd"
 )
+
+// ParseKind reads a server name as the CLIs accept it: ssh, sshd or
+// openssh for OpenSSH; apache or httpd for Apache.
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "ssh", "sshd", "openssh":
+		return KindSSHD, nil
+	case "apache", "httpd":
+		return KindHTTPD, nil
+	default:
+		return "", fmt.Errorf("unknown server %q (want ssh or apache)", s)
+	}
+}
 
 // Handle is a running server as its drivers see it. Churn moves payload on
 // an open connection (an scp transfer or an HTTP request); Maintain is the

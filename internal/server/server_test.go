@@ -88,3 +88,25 @@ func TestHTTPDHandle(t *testing.T) {
 	}
 	drive(t, h, func() int { return s.Stats().Requests }, s.ActiveConnections)
 }
+
+func TestParseKind(t *testing.T) {
+	for _, tt := range []struct {
+		in   string
+		want Kind
+		ok   bool
+	}{
+		{"ssh", KindSSHD, true},
+		{"sshd", KindSSHD, true},
+		{"openssh", KindSSHD, true},
+		{"apache", KindHTTPD, true},
+		{"httpd", KindHTTPD, true},
+		{"", "", false},
+		{"SSH", "", false},
+		{"nginx", "", false},
+	} {
+		got, err := ParseKind(tt.in)
+		if (err == nil) != tt.ok || got != tt.want {
+			t.Errorf("ParseKind(%q) = %q, %v; want %q, ok=%v", tt.in, got, err, tt.want, tt.ok)
+		}
+	}
+}

@@ -17,8 +17,8 @@ import (
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
+	"memshield/internal/provision"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
@@ -179,28 +179,22 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Kind != KindSSH && cfg.Kind != KindApache {
 		return nil, errors.New("sim: unknown server kind")
 	}
-	k, err := kernel.New(kernel.Config{
-		MemPages:      cfg.MemPages,
-		DeallocPolicy: cfg.Level.KernelPolicy(),
-		FaultPlan:     cfg.FaultPlan,
+	// Sub-streams of cfg.Seed: 1=keygen, 2=scramble, 3=server. Derived,
+	// not offset, so a caller sweeping adjacent seeds never aliases them.
+	k, keys, err := provision.Provision(provision.Recipe{
+		Kernel: kernel.Config{
+			MemPages:      cfg.MemPages,
+			DeallocPolicy: cfg.Level.KernelPolicy(),
+			FaultPlan:     cfg.FaultPlan,
+		},
+		Keys:         []provision.Key{{Path: KeyPath, Bits: cfg.KeyBits, Seed: stats.DeriveSeed(cfg.Seed, 1)}},
+		Scramble:     true,
+		ScrambleSeed: stats.DeriveSeed(cfg.Seed, 2),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	// Sub-streams of cfg.Seed: 1=keygen, 2=scramble, 3=server. Derived,
-	// not offset, so a caller sweeping adjacent seeds never aliases them.
-	key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(cfg.Seed, 1)), cfg.KeyBits)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	pemBytes := key.MarshalPEM()
-	defer scrub.Bytes(pemBytes)
-	if err := k.FS().WriteFile(KeyPath, pemBytes); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if err := k.ScrambleFreeMemory(stats.DeriveSeed(cfg.Seed, 2)); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
+	key := keys[0]
 	// Paper, Section 3.2 observation (1): on the unpatched machine the
 	// PEM file is already in the page cache at t=0 — the filesystem
 	// touched it before the experiment (the Reiser FS effect). The

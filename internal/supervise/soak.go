@@ -36,9 +36,9 @@ import (
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
+	"memshield/internal/provision"
 	"memshield/internal/runner"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server"
 	"memshield/internal/stats"
 )
@@ -149,12 +149,12 @@ type Machine struct {
 func NewMachine(cfg MachineConfig) (*Machine, error) {
 	m := &Machine{prefix: cfg.LogPrefix}
 	var err error
-	m.k, err = kernel.New(kernel.Config{
+	m.k, _, err = provision.Provision(provision.Recipe{Kernel: kernel.Config{
 		MemPages:      stormMemPages,
 		SwapPages:     stormSwapPages,
 		DeallocPolicy: cfg.Level.KernelPolicy(),
 		FaultPlan:     cfg.Plan,
-	})
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -188,10 +188,9 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 			}
 		},
 	})
-	pem := key.MarshalPEM()
-	err = m.k.FS().WriteFile(cfg.KeyPath, pem)
-	scrub.Bytes(pem)
-	if err != nil {
+	// The key file is installed once the supervisor exists, so a write
+	// refused under the fault plan is logged as a refused start.
+	if err := provision.InstallPEM(m.k, cfg.KeyPath, key); err != nil {
 		status.Refuse(fmt.Sprintf("key install: %v", err))
 		m.logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", m.k.Clock(), OneLine(err.Error()))
 	} else if err := m.sup.Start(); err != nil {

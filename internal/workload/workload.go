@@ -20,10 +20,9 @@ import (
 	"errors"
 	"fmt"
 
-	"memshield/internal/crypto/rsakey"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
-	"memshield/internal/scrub"
+	"memshield/internal/provision"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
@@ -140,39 +139,19 @@ func (c *SSHBenchConfig) applyDefaults() {
 	}
 }
 
-// setupMachine boots a machine with a key on disk for the given level. Its
-// sub-streams are minted with DeriveSeed (1=keygen, 2=scramble; 3 is the
-// caller's server stream), so adjacent caller seeds never alias.
-func setupMachine(memPages, keyBits int, seed int64, level protect.Level) (*kernel.Kernel, error) {
-	k, err := kernel.New(kernel.Config{
-		MemPages:      memPages,
-		DeallocPolicy: level.KernelPolicy(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(seed, 1)), keyBits)
-	if err != nil {
-		return nil, err
-	}
-	pemBytes := key.MarshalPEM()
-	defer scrub.Bytes(pemBytes)
-	if err := k.FS().WriteFile(KeyPath, pemBytes); err != nil {
-		return nil, err
-	}
-	if err := k.ScrambleFreeMemory(stats.DeriveSeed(seed, 2)); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
 // RunSSHBench executes the scp stress benchmark at one protection level.
 func RunSSHBench(cfg SSHBenchConfig) (PerfResult, error) {
 	cfg.applyDefaults()
 	if cfg.Concurrency <= 0 || cfg.TotalTransfers <= 0 {
 		return PerfResult{}, errors.New("workload: concurrency and transfers must be positive")
 	}
-	k, err := setupMachine(cfg.MemPages, cfg.KeyBits, cfg.Seed, cfg.Level)
+	// Sub-streams of cfg.Seed: 1=keygen, 2=scramble, 3=server.
+	k, _, err := provision.Provision(provision.Recipe{
+		Kernel:       kernel.Config{MemPages: cfg.MemPages, DeallocPolicy: cfg.Level.KernelPolicy()},
+		Keys:         []provision.Key{{Path: KeyPath, Bits: cfg.KeyBits, Seed: stats.DeriveSeed(cfg.Seed, 1)}},
+		Scramble:     true,
+		ScrambleSeed: stats.DeriveSeed(cfg.Seed, 2),
+	})
 	if err != nil {
 		return PerfResult{}, fmt.Errorf("workload: %w", err)
 	}
@@ -271,7 +250,13 @@ func RunApacheBench(cfg ApacheBenchConfig) (PerfResult, error) {
 	if cfg.Concurrency <= 0 || cfg.Transactions <= 0 {
 		return PerfResult{}, errors.New("workload: concurrency and transactions must be positive")
 	}
-	k, err := setupMachine(cfg.MemPages, cfg.KeyBits, cfg.Seed, cfg.Level)
+	// Sub-streams of cfg.Seed: 1=keygen, 2=scramble, 3=server.
+	k, _, err := provision.Provision(provision.Recipe{
+		Kernel:       kernel.Config{MemPages: cfg.MemPages, DeallocPolicy: cfg.Level.KernelPolicy()},
+		Keys:         []provision.Key{{Path: KeyPath, Bits: cfg.KeyBits, Seed: stats.DeriveSeed(cfg.Seed, 1)}},
+		Scramble:     true,
+		ScrambleSeed: stats.DeriveSeed(cfg.Seed, 2),
+	})
 	if err != nil {
 		return PerfResult{}, fmt.Errorf("workload: %w", err)
 	}

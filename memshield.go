@@ -46,8 +46,8 @@ import (
 	"memshield/internal/keyfinder"
 	"memshield/internal/mem"
 	"memshield/internal/protect"
+	"memshield/internal/provision"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/sim"
@@ -114,6 +114,9 @@ type Machine struct {
 	seed        int64
 	protection  Protection
 	scanWorkers int
+	// installs counts InstallKey calls, each of which draws its own
+	// keygen stream.
+	installs int
 	// scanners caches one incremental scanner per installed key, so
 	// repeated Scan calls only re-walk frames written since the last call.
 	scanners map[*Key]*scan.Scanner
@@ -130,21 +133,20 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if !cfg.Protection.Valid() {
 		cfg.Protection = ProtectionNone
 	}
-	k, err := kernel.New(kernel.Config{
-		MemPages:      cfg.MemoryMB * 1024 * 1024 / mem.PageSize,
-		SwapPages:     cfg.SwapMB * 1024 * 1024 / mem.PageSize,
-		EncryptSwap:   cfg.EncryptSwap,
-		DeallocPolicy: cfg.Protection.KernelPolicy(),
-		FSLeakFixed:   cfg.FixedExt2,
-		TraceEvents:   cfg.TraceEvents,
+	k, _, err := provision.Provision(provision.Recipe{
+		Kernel: kernel.Config{
+			MemPages:      cfg.MemoryMB * 1024 * 1024 / mem.PageSize,
+			SwapPages:     cfg.SwapMB * 1024 * 1024 / mem.PageSize,
+			EncryptSwap:   cfg.EncryptSwap,
+			DeallocPolicy: cfg.Protection.KernelPolicy(),
+			FSLeakFixed:   cfg.FixedExt2,
+			TraceEvents:   cfg.TraceEvents,
+		},
+		Scramble:     !cfg.SkipScramble,
+		ScrambleSeed: cfg.Seed + 1,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("memshield: %w", err)
-	}
-	if !cfg.SkipScramble {
-		if err := k.ScrambleFreeMemory(cfg.Seed + 1); err != nil {
-			return nil, fmt.Errorf("memshield: %w", err)
-		}
 	}
 	return &Machine{
 		k:           k,
@@ -173,17 +175,22 @@ type Key struct {
 func (k *Key) Patterns() []scan.Pattern { return scan.PatternsFor(k.Private) }
 
 // InstallKey generates a fresh RSA key of the given modulus size and writes
-// its PEM file at path on the simulated filesystem.
+// its PEM file at path on the simulated filesystem. Every install draws its
+// own keygen stream: the first from seed+100, each later one from a stream
+// derived from it, so two installs never share a key.
 func (m *Machine) InstallKey(path string, bits int) (*Key, error) {
-	key, err := rsakey.Generate(stats.NewReader(m.seed+100), bits)
+	seed := m.seed + 100
+	if m.installs > 0 {
+		seed = stats.DeriveSeed(seed, int64(m.installs))
+	}
+	key, err := rsakey.Generate(stats.NewReader(seed), bits)
 	if err != nil {
 		return nil, fmt.Errorf("memshield: %w", err)
 	}
-	pemBytes := key.MarshalPEM()
-	defer scrub.Bytes(pemBytes)
-	if err := m.k.FS().WriteFile(path, pemBytes); err != nil {
+	if err := provision.InstallPEM(m.k, path, key); err != nil {
 		return nil, fmt.Errorf("memshield: %w", err)
 	}
+	m.installs++
 	return &Key{Private: key, Path: path}, nil
 }
 

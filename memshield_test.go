@@ -269,3 +269,34 @@ func TestRecoverKeyFacade(t *testing.T) {
 		t.Fatal("recovered key mismatch")
 	}
 }
+
+// TestInstallKeyDrawsFreshKeys: each install on a machine gets its own
+// key, and the first install's key is the one a single install gives.
+func TestInstallKeyDrawsFreshKeys(t *testing.T) {
+	boot := func() *Machine {
+		m, err := NewMachine(MachineConfig{MemoryMB: 4, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	single, err := boot().InstallKey("/k.pem", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := boot()
+	first, err := m.InstallKey("/k1.pem", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := m.InstallKey("/k2.pem", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Private.N.Cmp(single.Private.N) != 0 {
+		t.Error("first install's key differs from a single install's")
+	}
+	if second.Private.N.Cmp(first.Private.N) == 0 {
+		t.Error("second install returned the first install's key")
+	}
+}
