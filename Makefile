@@ -69,15 +69,17 @@ soak:
 soak-smoke:
 	$(GO) run ./cmd/soak -storms 6 -steps 120 -workers 4 -verify -log soak-events.log
 
-# One iteration of the scanning-engine, keyfinder and per-level server
-# connect benchmarks under the race detector: exercises the sharded scan,
-# the incremental rescan and the chunked factor scan concurrency without any
-# timing sensitivity, so it catches concurrency bit-rot in CI (DESIGN.md
-# §9), runs a full keyfinder search (PEM, DER and factor walks to the end of
-# a sealed dump), and keeps the sshd/httpd connect benches at every measured
-# level from rotting. CI runs this on each PR.
+# One iteration of the scanning-engine, keyfinder, per-level server
+# connect and simulated-kernel benchmarks under the race detector: exercises
+# the sharded scan, the incremental rescan and the chunked factor scan
+# concurrency without any timing sensitivity, so it catches concurrency
+# bit-rot in CI (DESIGN.md §9), runs a full keyfinder search (PEM, DER and
+# factor walks to the end of a sealed dump), and keeps the sshd/httpd
+# connect benches at every measured level and the per-layer kernel benches
+# (buddy alloc/free per policy, fork+exit, the boot-time free-list
+# scramble) from rotting. CI runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkKeyfinderSearchSealed|BenchmarkSSHConnectPerLevel|BenchmarkHTTPDConnectPerLevel' -benchtime=1x .
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkKeyfinderSearchSealed|BenchmarkSSHConnectPerLevel|BenchmarkHTTPDConnectPerLevel|BenchmarkAllocFree|BenchmarkForkExit|BenchmarkScrambleFreeMemory' -benchtime=1x .
 
 # The fleet bench trajectory (EXPERIMENTS.md "Benchmark JSON format"): the
 # fleet engine at 10k and 100k connections, the scanned sealed httpd fleet

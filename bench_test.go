@@ -13,6 +13,7 @@ import (
 	"memshield/internal/figures"
 	"memshield/internal/fleet"
 	"memshield/internal/kernel"
+	"memshield/internal/kernel/alloc"
 	"memshield/internal/keyfinder"
 	"memshield/internal/mem"
 	"memshield/internal/protect"
@@ -199,6 +200,95 @@ func BenchmarkMachineBoot32MB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewMachine(MachineConfig{MemoryMB: 32, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchKernel boots a bare 32 MiB kernel under the given dealloc policy
+// with its free lists scrambled, the shape every driver's machine has
+// before its servers start.
+func benchKernel(b *testing.B, policy alloc.Policy) *kernel.Kernel {
+	b.Helper()
+	k, err := kernel.New(kernel.Config{MemPages: 32 * 1024 * 1024 / mem.PageSize, DeallocPolicy: policy})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := k.ScrambleFreeMemory(1); err != nil {
+		b.Fatal(err)
+	}
+	return k
+}
+
+// BenchmarkAllocFree measures one order-0 page through the buddy
+// allocator under each dealloc policy: allocate, dirty 64 bytes, free —
+// and, under secure-dealloc, the Tick that drains the deferred clear.
+func BenchmarkAllocFree(b *testing.B) {
+	for _, policy := range []alloc.Policy{alloc.PolicyRetain, alloc.PolicyZeroOnFree, alloc.PolicySecureDealloc} {
+		b.Run(policy.String(), func(b *testing.B) {
+			k := benchKernel(b, policy)
+			a, dirt := k.Alloc(), make([]byte, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pn, err := a.AllocPage(mem.OwnerUser)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := k.Mem().Write(pn.Base(), dirt); err != nil {
+					b.Fatal(err)
+				}
+				if err := a.Free(pn); err != nil {
+					b.Fatal(err)
+				}
+				a.Tick()
+			}
+		})
+	}
+}
+
+// BenchmarkForkExit measures fork plus exit of a child of a 64-page
+// process under zero-on-free: the child COW-shares every page and its
+// exit drops 64 references without freeing a frame.
+func BenchmarkForkExit(b *testing.B) {
+	k := benchKernel(b, alloc.PolicyZeroOnFree)
+	parent, err := k.Spawn(0, "server")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pages := range []int{16, 16, 32} {
+		if _, err := k.VM().MapAnon(parent, pages, "data"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		child, err := k.Fork(parent, "worker")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := k.Exit(child); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScrambleFreeMemory measures the boot-time free-list scramble of
+// one fleet machine (fleet.Sized: 19,152 frames) under zero-on-free: every
+// free page allocated, a 1/16 holdout kept, the rest freed (and cleared)
+// in a seeded random order. The boot itself is not timed.
+func BenchmarkScrambleFreeMemory(b *testing.B) {
+	pages := fleet.Sized(40_000, 8, 1000, protect.LevelIntegrated, 2007).MemPages
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		k, err := kernel.New(kernel.Config{MemPages: pages, DeallocPolicy: alloc.PolicyZeroOnFree})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := k.ScrambleFreeMemory(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -92,18 +92,10 @@ type Allocator struct {
 
 	// free[o] is a LIFO stack of free block heads of order o.
 	free [MaxOrder + 1][]mem.PageNum
-	// freeIdx maps a free block head to its order, for O(1) buddy lookup
-	// and membership checks during merge.
-	freeIdx map[mem.PageNum]int
-	// freePos maps a free block head to its index within its order's
-	// stack, making removal O(1). Removal swaps with the stack's last
-	// element, which slightly perturbs pop order relative to a strict
-	// LIFO — an acceptable (and deterministic) trade for making the
-	// free-list mixing used by experiments linear instead of quadratic.
-	freePos map[mem.PageNum]int
-	// allocated maps an allocated block head to its order, so Free does
-	// not need the caller to remember the size.
-	allocated map[mem.PageNum]int
+	// heads[pn] is frame pn's block-head record, one per frame like the
+	// kernel's mem_map: the order of the free or allocated block pn heads
+	// (-1 for neither) and pn's index within its order's free stack.
+	heads []head
 
 	// deferredZero holds pages awaiting clearing under PolicySecureDealloc.
 	deferredZero []mem.PageNum
@@ -114,6 +106,21 @@ type Allocator struct {
 	injector *fault.Injector
 
 	stats Stats
+}
+
+// head is one frame's entry in the allocator's dense per-frame state.
+type head struct {
+	// free is the order of the free block pn heads, or -1.
+	free int8
+	// alloc is the order of the allocated block pn heads, or -1, so Free
+	// does not need the caller to remember the size.
+	alloc int8
+	// pos is pn's index within free[free], making removal O(1). Removal
+	// swaps with the stack's last element, which slightly perturbs pop
+	// order relative to a strict LIFO — an acceptable (and deterministic)
+	// trade for making the free-list mixing used by experiments linear
+	// instead of quadratic. Meaningful only while free >= 0.
+	pos int32
 }
 
 // SetSink attaches (or detaches, with nil) an event sink.
@@ -138,11 +145,12 @@ func New(m *mem.Memory, policy Policy) (*Allocator, error) {
 		return nil, fmt.Errorf("alloc: unknown policy %d", int(policy))
 	}
 	a := &Allocator{
-		mem:       m,
-		policy:    policy,
-		freeIdx:   make(map[mem.PageNum]int),
-		freePos:   make(map[mem.PageNum]int),
-		allocated: make(map[mem.PageNum]int),
+		mem:    m,
+		policy: policy,
+		heads:  make([]head, m.NumPages()),
+	}
+	for i := range a.heads {
+		a.heads[i] = head{free: -1, alloc: -1}
 	}
 	a.seedFreeLists()
 	return a, nil
@@ -167,28 +175,33 @@ func (a *Allocator) seedFreeLists() {
 }
 
 func (a *Allocator) pushFree(pn mem.PageNum, order int) {
-	a.freePos[pn] = len(a.free[order])
+	a.heads[pn].free = int8(order)
+	a.heads[pn].pos = int32(len(a.free[order]))
 	a.free[order] = append(a.free[order], pn)
-	a.freeIdx[pn] = order
 }
 
-// removeFree removes the specific block head pn from the order's free stack
-// in O(1) by swapping it with the stack's last element.
-func (a *Allocator) removeFree(pn mem.PageNum, order int) {
-	pos, ok := a.freePos[pn]
-	if !ok {
-		return
-	}
-	stack := a.free[order]
-	last := len(stack) - 1
-	if pos != last {
+// removeFree removes the free block head pn from its order's free stack in
+// O(1) by swapping it with the stack's last element.
+func (a *Allocator) removeFree(pn mem.PageNum) {
+	h := &a.heads[pn]
+	stack := a.free[h.free]
+	last := int32(len(stack) - 1)
+	if h.pos != last {
 		moved := stack[last]
-		stack[pos] = moved
-		a.freePos[moved] = pos
+		stack[h.pos] = moved
+		a.heads[moved].pos = h.pos
 	}
-	a.free[order] = stack[:last]
-	delete(a.freeIdx, pn)
-	delete(a.freePos, pn)
+	a.free[h.free] = stack[:last]
+	h.free = -1
+}
+
+// allocOrder returns the order of the allocated block headed by pn, or -1
+// when pn heads none — including a pn past the end of memory.
+func (a *Allocator) allocOrder(pn mem.PageNum) int {
+	if pn >= mem.PageNum(len(a.heads)) {
+		return -1
+	}
+	return int(a.heads[pn].alloc)
 }
 
 // Policy returns the active deallocation policy.
@@ -244,8 +257,7 @@ func (a *Allocator) AllocPages(order int, owner mem.Owner) (mem.PageNum, error) 
 	stack := a.free[from]
 	pn := stack[len(stack)-1]
 	a.free[from] = stack[:len(stack)-1]
-	delete(a.freeIdx, pn)
-	delete(a.freePos, pn)
+	a.heads[pn].free = -1
 	// Split down to the requested order, pushing upper halves back.
 	for from > order {
 		from--
@@ -253,7 +265,7 @@ func (a *Allocator) AllocPages(order int, owner mem.Owner) (mem.PageNum, error) 
 		a.pushFree(buddy, from)
 		a.stats.Splits++
 	}
-	a.allocated[pn] = order
+	a.heads[pn].alloc = int8(order)
 	size := mem.PageNum(1) << order
 	for p := pn; p < pn+size; p++ {
 		f := a.mem.Frame(p)
@@ -276,8 +288,8 @@ func (a *Allocator) AllocPage(owner mem.Owner) (mem.PageNum, error) {
 // BlockOrder returns the order of the allocated block headed by pn, or an
 // error if pn is not an allocated block head.
 func (a *Allocator) BlockOrder(pn mem.PageNum) (int, error) {
-	order, ok := a.allocated[pn]
-	if !ok {
+	order := a.allocOrder(pn)
+	if order < 0 {
 		return 0, fmt.Errorf("alloc: page %d is not an allocated block head", pn)
 	}
 	return order, nil
@@ -303,8 +315,8 @@ func (a *Allocator) zeroPage(pn mem.PageNum) error {
 // stats sequence is unchanged by this ordering (EvZero per page, then one
 // EvFree).
 func (a *Allocator) Free(pn mem.PageNum) error {
-	order, ok := a.allocated[pn]
-	if !ok {
+	order := a.allocOrder(pn)
+	if order < 0 {
 		return fmt.Errorf("alloc: free of page %d which is not an allocated block head", pn)
 	}
 	size := mem.PageNum(1) << order
@@ -315,7 +327,7 @@ func (a *Allocator) Free(pn mem.PageNum) error {
 			}
 		}
 	}
-	delete(a.allocated, pn)
+	a.heads[pn].alloc = -1
 	for p := pn; p < pn+size; p++ {
 		f := a.mem.Frame(p)
 		f.State = mem.FrameFree
@@ -346,13 +358,10 @@ func (a *Allocator) Free(pn mem.PageNum) error {
 func (a *Allocator) insertAndMerge(pn mem.PageNum, order int) {
 	for order < MaxOrder {
 		buddy := pn ^ (mem.PageNum(1) << order)
-		if bOrder, ok := a.freeIdx[buddy]; !ok || bOrder != order {
+		if int(buddy)+(1<<order) > len(a.heads) || int(a.heads[buddy].free) != order {
 			break
 		}
-		if int(buddy)+(1<<order) > a.mem.NumPages() {
-			break
-		}
-		a.removeFree(buddy, order)
+		a.removeFree(buddy)
 		if buddy < pn {
 			pn = buddy
 		}
@@ -404,22 +413,26 @@ func (a *Allocator) ZeroPending(pn mem.PageNum) bool {
 }
 
 // CheckConsistency validates allocator invariants, returning the first
-// violation found. It is intended for tests and property checks:
+// violation found. It walks the free stacks in order and then the frames in
+// ascending order, so the violation reported is deterministic. It is
+// intended for tests and property checks:
 //
 //  1. Every frame is either inside exactly one free block or exactly one
 //     allocated block (full, non-overlapping coverage).
-//  2. Free-list entries agree with freeIdx and frame states.
+//  2. Free-stack entries agree with the per-frame head records and frame
+//     states, in both directions.
 //  3. Under PolicyZeroOnFree, every free page is all-zero.
 func (a *Allocator) CheckConsistency() error {
-	covered := make([]int, a.mem.NumPages())
+	n := mem.PageNum(len(a.heads))
+	covered := make([]int, n)
 	for order, stack := range a.free {
-		for _, head := range stack {
-			if got, ok := a.freeIdx[head]; !ok || got != order {
-				return fmt.Errorf("free block %d order %d missing from index", head, order)
+		for i, pn := range stack {
+			if pn >= n || int(a.heads[pn].free) != order || int(a.heads[pn].pos) != i {
+				return fmt.Errorf("free block %d order %d missing from index", pn, order)
 			}
-			for p := head; p < head+(mem.PageNum(1)<<order); p++ {
-				if int(p) >= len(covered) {
-					return fmt.Errorf("free block %d order %d exceeds memory", head, order)
+			for p := pn; p < pn+(mem.PageNum(1)<<order); p++ {
+				if p >= n {
+					return fmt.Errorf("free block %d order %d exceeds memory", pn, order)
 				}
 				covered[p]++
 				if a.mem.Frame(p).State != mem.FrameFree {
@@ -428,10 +441,19 @@ func (a *Allocator) CheckConsistency() error {
 			}
 		}
 	}
-	for head, order := range a.allocated {
-		for p := head; p < head+(mem.PageNum(1)<<order); p++ {
-			if int(p) >= len(covered) {
-				return fmt.Errorf("allocated block %d order %d exceeds memory", head, order)
+	for pn := mem.PageNum(0); pn < n; pn++ {
+		h := a.heads[pn]
+		if h.free >= 0 {
+			if stack := a.free[h.free]; int(h.pos) >= len(stack) || stack[h.pos] != pn {
+				return fmt.Errorf("free head %d order %d missing from its free list", pn, h.free)
+			}
+		}
+		if h.alloc < 0 {
+			continue
+		}
+		for p := pn; p < pn+(mem.PageNum(1)<<h.alloc); p++ {
+			if p >= n {
+				return fmt.Errorf("allocated block %d order %d exceeds memory", pn, h.alloc)
 			}
 			covered[p]++
 			if a.mem.Frame(p).State != mem.FrameAllocated {
@@ -445,11 +467,9 @@ func (a *Allocator) CheckConsistency() error {
 		}
 	}
 	if a.policy == PolicyZeroOnFree {
-		for head, order := range a.freeIdx {
-			for p := head; p < head+(mem.PageNum(1)<<order); p++ {
-				if !a.mem.PageIsZero(p) {
-					return fmt.Errorf("zero-on-free violated: free page %d is dirty", p)
-				}
+		for p := mem.PageNum(0); p < n; p++ {
+			if a.mem.Frame(p).State == mem.FrameFree && !a.mem.PageIsZero(p) {
+				return fmt.Errorf("zero-on-free violated: free page %d is dirty", p)
 			}
 		}
 	}

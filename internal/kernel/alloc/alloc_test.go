@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +137,60 @@ func TestDoubleFree(t *testing.T) {
 	}
 	if err := a.Free(999); err == nil {
 		t.Fatal("free of never-allocated page: want error")
+	}
+}
+
+// TestFrameNumberPastMemoryIsNotAHead: Free and BlockOrder take frame
+// numbers from callers, so one at or past NumPages gets the ordinary "not
+// an allocated block head" error, never an index panic.
+func TestFrameNumberPastMemoryIsNotAHead(t *testing.T) {
+	_, a := newAlloc(t, 8, PolicyZeroOnFree)
+	for _, pn := range []mem.PageNum{8, 9, 1 << 20, 1<<64 - 1} {
+		if err := a.Free(pn); err == nil || !strings.Contains(err.Error(), "not an allocated block head") {
+			t.Errorf("Free(%d) = %v, want not-a-head error", pn, err)
+		}
+		if _, err := a.BlockOrder(pn); err == nil || !strings.Contains(err.Error(), "not an allocated block head") {
+			t.Errorf("BlockOrder(%d) = %v, want not-a-head error", pn, err)
+		}
+	}
+	if a.Stats() != (Stats{}) || a.FreePages() != 8 {
+		t.Fatalf("rejected frees changed the allocator: %+v, %d free", a.Stats(), a.FreePages())
+	}
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckConsistencyReportsLowestDirtyPage: the check walks frames in
+// order, so of several dirty free pages it always names the lowest.
+func TestCheckConsistencyReportsLowestDirtyPage(t *testing.T) {
+	m, a := newAlloc(t, 64, PolicyRetain)
+	var pages []mem.PageNum
+	for i := 0; i < 64; i++ {
+		pn, err := a.AllocPage(mem.OwnerUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, pn)
+	}
+	for _, pn := range []mem.PageNum{41, 9, 30} {
+		if err := m.Write(pn.Base()+100, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pn := range pages {
+		if err := a.Free(pn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.SetPolicy(PolicyZeroOnFree); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		err := a.CheckConsistency()
+		if err == nil || err.Error() != "zero-on-free violated: free page 9 is dirty" {
+			t.Fatalf("CheckConsistency = %v, want free page 9 dirty", err)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 
 	"memshield/internal/kernel/alloc"
 	"memshield/internal/kernel/fs"
+	"memshield/internal/kernel/vm"
+	"memshield/internal/mem"
 	"memshield/internal/trace"
 )
 
@@ -365,5 +367,103 @@ func TestProcessExitReleasesSharedMapping(t *testing.T) {
 	}
 	if err := k.Cache().Evict(fileID, false); err != nil {
 		t.Fatalf("evict after exit: %v", err)
+	}
+}
+
+// TestZeroOnFreeLeavesNoKeyByteInFreeFrames drives a random mix of maps,
+// key writes, forks, COW breaks, unmaps, swap-outs and exits under the
+// paper's zero-on-free patch and, after every operation, reads every free
+// frame's bytes directly: none may hold a key byte (or any byte), whatever
+// the allocator skipped clearing because the frame was already known zero.
+func TestZeroOnFreeLeavesNoKeyByteInFreeFrames(t *testing.T) {
+	k := boot(t, Config{MemPages: 384, SwapPages: 32, DeallocPolicy: alloc.PolicyZeroOnFree})
+	if err := k.ScrambleFreeMemory(7); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2007))
+	key := make([]byte, 300)
+	for i := range key {
+		key[i] = byte(1 + rng.Intn(255))
+	}
+	type mapping struct {
+		va    vm.VAddr
+		pages int
+	}
+	root, err := k.Spawn(0, "keyholder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := []int{root}
+	maps := map[int][]mapping{}
+	zero := make([]byte, mem.PageSize)
+	for step := 0; step < 300; step++ {
+		pid := pids[rng.Intn(len(pids))]
+		ms := maps[pid]
+		switch op := rng.Intn(7); {
+		case op == 0 || len(ms) == 0:
+			n := 1 + rng.Intn(3)
+			va, err := k.VM().MapAnon(pid, n, "key")
+			if err != nil {
+				continue // out of memory: the mix goes on
+			}
+			maps[pid] = append(ms, mapping{va, n})
+			off := rng.Intn(n*mem.PageSize - len(key) + 1)
+			if err := k.VM().Write(pid, va+vm.VAddr(off), key); err != nil {
+				t.Fatal(err)
+			}
+		case op == 1 && len(pids) < 8:
+			child, err := k.Fork(pid, "worker")
+			if err != nil {
+				continue
+			}
+			pids = append(pids, child)
+			maps[child] = append([]mapping(nil), ms...)
+		case op == 2:
+			m := ms[rng.Intn(len(ms))]
+			// A COW break copies the key page before the write lands.
+			_ = k.VM().Write(pid, m.va+vm.VAddr(rng.Intn(m.pages*mem.PageSize-len(key)+1)), key)
+		case op == 3:
+			i := rng.Intn(len(ms))
+			if err := k.VM().Unmap(pid, ms[i].va, ms[i].pages); err != nil {
+				t.Fatal(err)
+			}
+			maps[pid] = append(ms[:i:i], ms[i+1:]...)
+		case op == 4:
+			if _, err := k.MemoryPressure(pid, 2); err != nil {
+				t.Fatal(err)
+			}
+		case op == 5:
+			_, _ = k.VM().Read(pid, ms[0].va, mem.PageSize) // may swap in
+		case pid != root:
+			if err := k.Exit(pid); err != nil {
+				t.Fatal(err)
+			}
+			delete(maps, pid)
+			for i, p := range pids {
+				if p == pid {
+					pids = append(pids[:i], pids[i+1:]...)
+					break
+				}
+			}
+		}
+		for pn := mem.PageNum(0); int(pn) < k.Mem().NumPages(); pn++ {
+			if k.Mem().Frame(pn).State != mem.FrameFree {
+				continue
+			}
+			page, err := k.Mem().Read(pn.Base(), mem.PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(page, zero) {
+				t.Fatalf("step %d: free frame %d holds non-zero bytes (key bytes: %v)",
+					step, pn, bytes.Contains(page, key[:8]))
+			}
+		}
+		if err := k.Alloc().CheckConsistency(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if err := k.VM().CheckConsistency(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 }

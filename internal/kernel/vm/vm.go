@@ -14,7 +14,7 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"memshield/internal/fault"
 	"memshield/internal/kernel/alloc"
@@ -57,13 +57,14 @@ var (
 
 // pte is one page-table entry.
 type pte struct {
+	vp       VPage // the virtual page this entry maps
 	frame    mem.PageNum
+	swapSlot int
 	present  bool // resident in physical memory
 	writable bool
 	cow      bool // shared copy-on-write after fork
 	locked   bool // mlocked: never swapped
 	swapped  bool // contents live in a swap slot
-	swapSlot int
 	// userRO marks pages the process made read-only via Mprotect; unlike
 	// the transient COW read-only state, a write here faults instead of
 	// copying.
@@ -85,21 +86,44 @@ func (v *VMA) Contains(a VAddr) bool { return a >= v.Start && a < v.End }
 
 // AddressSpace is the virtual memory image of one process.
 type AddressSpace struct {
-	pid    int
-	vmas   []*VMA
-	pt     map[VPage]*pte
+	pid  int
+	vmas []VMA
+	// pt is the page table: one entry per mapped page, sorted by vp with
+	// no duplicates. Its size is the number of mapped pages, not the span
+	// of virtual addresses ever used. New mappings are placed at nextVA,
+	// above every mapped page, so they append in order.
+	pt     []pte
 	nextVA VAddr // bump pointer for MapAnon placement
+}
+
+// search returns the index of the first entry whose page is at least vp.
+func (s *AddressSpace) search(vp VPage) int {
+	lo, hi := 0, len(s.pt)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.pt[mid].vp < vp {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// lookup returns the entry mapping vp, or nil. The pointer is valid until
+// the page table next changes shape (a map, unmap or teardown).
+func (s *AddressSpace) lookup(vp VPage) *pte {
+	if i := s.search(vp); i < len(s.pt) && s.pt[i].vp == vp {
+		return &s.pt[i]
+	}
+	return nil
 }
 
 // PID returns the owning process ID.
 func (s *AddressSpace) PID() int { return s.pid }
 
 // VMAs returns a snapshot of the mapped areas.
-func (s *AddressSpace) VMAs() []*VMA {
-	out := make([]*VMA, len(s.vmas))
-	copy(out, s.vmas)
-	return out
-}
+func (s *AddressSpace) VMAs() []VMA { return slices.Clone(s.vmas) }
 
 // Manager owns every address space on the machine plus the swap area.
 type Manager struct {
@@ -148,7 +172,6 @@ func (mg *Manager) NewSpace(pid int) (*AddressSpace, error) {
 	}
 	s := &AddressSpace{
 		pid:    pid,
-		pt:     make(map[VPage]*pte),
 		nextVA: 0x1000, // leave page 0 unmapped, like a real process
 	}
 	mg.spaces[pid] = s
@@ -183,37 +206,32 @@ func (mg *Manager) MapAnon(pid int, npages int, name string) (VAddr, error) {
 	if npages <= 0 {
 		return 0, fmt.Errorf("vm: MapAnon npages must be positive, got %d", npages)
 	}
-	start := s.nextVA
-	frames := make([]mem.PageNum, 0, npages)
+	// The new entries go straight onto the page table's tail; a failed
+	// allocation frees them in order and cuts them off again.
+	start, base := s.nextVA, len(s.pt)
 	for i := 0; i < npages; i++ {
 		pn, err := mg.alloc.AllocPage(mem.OwnerUser)
-		if err != nil {
-			for _, f := range frames {
-				_ = mg.alloc.Free(f)
-			}
-			return 0, fmt.Errorf("vm: MapAnon: %w", err)
-		}
 		// Anonymous mappings are zero-filled on first touch in real
 		// kernels; zero eagerly here. On failure the page just allocated
 		// joins the rollback, or the whole batch leaks.
-		if zerr := mg.mem.ZeroPage(pn); zerr != nil {
-			_ = mg.alloc.Free(pn)
-			for _, f := range frames {
-				_ = mg.alloc.Free(f)
+		if err == nil {
+			if err = mg.mem.ZeroPage(pn); err != nil {
+				_ = mg.alloc.Free(pn)
 			}
-			return 0, fmt.Errorf("vm: MapAnon: %w", zerr)
 		}
-		frames = append(frames, pn)
+		if err != nil {
+			for _, e := range s.pt[base:] {
+				_ = mg.alloc.Free(e.frame)
+			}
+			s.pt = s.pt[:base]
+			return 0, fmt.Errorf("vm: MapAnon: %w", err)
+		}
+		s.pt = append(s.pt, pte{vp: start.Page() + VPage(i), frame: pn, present: true, writable: true})
+		mg.mem.Frame(pn).AddMapper(pid)
 	}
-	for i, pn := range frames {
-		vp := (start + VAddr(i*mem.PageSize)).Page()
-		s.pt[vp] = &pte{frame: pn, present: true, writable: true}
-		f := mg.mem.Frame(pn)
-		f.AddMapper(pid)
-	}
-	vma := &VMA{Start: start, End: start + VAddr(npages*mem.PageSize), Name: name}
-	s.vmas = append(s.vmas, vma)
-	s.nextVA = vma.End + mem.PageSize // guard page gap
+	end := start + VAddr(npages*mem.PageSize)
+	s.vmas = append(s.vmas, VMA{Start: start, End: end, Name: name})
+	s.nextVA = end + mem.PageSize // guard page gap
 	return start, nil
 }
 
@@ -238,36 +256,43 @@ func (mg *Manager) MapShared(pid int, frames []mem.PageNum, name string) (VAddr,
 	}
 	start := s.nextVA
 	for i, pn := range frames {
-		vp := (start + VAddr(i*mem.PageSize)).Page()
-		s.pt[vp] = &pte{frame: pn, present: true, writable: false}
+		vp := start.Page() + VPage(i)
+		s.pt = append(s.pt, pte{vp: vp, frame: pn, present: true, writable: false})
 		f := mg.mem.Frame(pn)
 		f.RefCount++
 		f.AddMapper(pid)
 	}
-	vma := &VMA{Start: start, End: start + VAddr(len(frames)*mem.PageSize), Name: name}
-	s.vmas = append(s.vmas, vma)
-	s.nextVA = vma.End + mem.PageSize
+	end := start + VAddr(len(frames)*mem.PageSize)
+	s.vmas = append(s.vmas, VMA{Start: start, End: end, Name: name})
+	s.nextVA = end + mem.PageSize
 	return start, nil
 }
 
 // Unmap removes npages starting at the page containing addr from pid's
 // address space. Frames whose last reference drops are returned to the
 // allocator (the dealloc policy decides whether their contents survive).
+// On an error the pages before the failing one are already unmapped.
 func (mg *Manager) Unmap(pid int, addr VAddr, npages int) error {
 	s, err := mg.Space(pid)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < npages; i++ {
-		vp := addr.Page() + VPage(i)
-		e, ok := s.pt[vp]
-		if !ok {
-			return fmt.Errorf("%w: pid %d vpage %d", ErrBadAddress, pid, vp)
+	// The range's entries are consecutive in the sorted table: drop them
+	// in order, then cut the dropped ones out in one move.
+	lo, n := s.search(addr.Page()), 0
+	for ; n < npages; n++ {
+		vp := addr.Page() + VPage(n)
+		if lo+n >= len(s.pt) || s.pt[lo+n].vp != vp {
+			err = fmt.Errorf("%w: pid %d vpage %d", ErrBadAddress, pid, vp)
+			break
 		}
-		if err := mg.dropPTE(pid, e); err != nil {
-			return err
+		if err = mg.dropPTE(pid, &s.pt[lo+n]); err != nil {
+			break
 		}
-		delete(s.pt, vp)
+	}
+	s.pt = append(s.pt[:lo], s.pt[lo+n:]...)
+	if err != nil {
+		return err
 	}
 	mg.trimVMAs(s, addr, npages)
 	return nil
@@ -298,29 +323,34 @@ func (mg *Manager) dropPTE(pid int, e *pte) error {
 	return nil
 }
 
-// trimVMAs removes or shrinks VMAs covering the unmapped range. Partial
-// unmaps in the middle of a VMA split it.
+// trimVMAs removes or shrinks VMAs covering the unmapped range, in place.
+// Partial unmaps in the middle of a VMA split it.
 func (mg *Manager) trimVMAs(s *AddressSpace, addr VAddr, npages int) {
 	lo := addr.Page().Base()
 	hi := lo + VAddr(npages*mem.PageSize)
-	var out []*VMA
+	out, splitAt := s.vmas[:0], -1
+	var tail VMA
 	for _, v := range s.vmas {
 		switch {
 		case v.End <= lo || v.Start >= hi:
-			out = append(out, v)
 		case v.Start >= lo && v.End <= hi:
-			// fully removed
+			continue // fully removed
 		case v.Start < lo && v.End > hi:
-			out = append(out,
-				&VMA{Start: v.Start, End: lo, Name: v.Name},
-				&VMA{Start: hi, End: v.End, Name: v.Name})
+			// A hole strictly inside v: its upper part goes in after
+			// the loop, which never writes ahead of what it reads.
+			tail, splitAt = VMA{Start: hi, End: v.End, Name: v.Name}, len(out)+1
+			v.End = lo
 		case v.Start < lo:
-			out = append(out, &VMA{Start: v.Start, End: lo, Name: v.Name})
+			v.End = lo
 		default:
-			out = append(out, &VMA{Start: hi, End: v.End, Name: v.Name})
+			v.Start = hi
 		}
+		out = append(out, v)
 	}
 	s.vmas = out
+	if splitAt >= 0 {
+		s.vmas = slices.Insert(s.vmas, splitAt, tail)
+	}
 }
 
 // DestroySpace tears down pid's entire address space, releasing every frame
@@ -339,28 +369,18 @@ func (mg *Manager) DestroySpace(pid int) error {
 	if err != nil {
 		return err
 	}
+	// Ascending virtual-page order makes the allocator's LIFO free lists —
+	// and every downstream experiment — deterministic.
 	var errs error
-	for _, vp := range sortedVPages(s.pt) {
-		if err := mg.dropPTE(pid, s.pt[vp]); err != nil {
-			errs = errors.Join(errs, fmt.Errorf("vm: destroy pid %d vpage %d: %w", pid, vp, err))
+	for i := range s.pt {
+		e := &s.pt[i]
+		if err := mg.dropPTE(pid, e); err != nil {
+			errs = errors.Join(errs, fmt.Errorf("vm: destroy pid %d vpage %d: %w", pid, e.vp, err))
 		}
 	}
 	delete(mg.spaces, pid)
 	mg.emit(trace.EvExit, pid, 0, 0)
 	return errs
-}
-
-// sortedVPages returns the page table's keys in ascending order, so that
-// teardown frees pages deterministically (map iteration order would make
-// the allocator's LIFO free lists — and every downstream experiment —
-// nondeterministic).
-func sortedVPages(pt map[VPage]*pte) []VPage {
-	out := make([]VPage, 0, len(pt))
-	for vp := range pt {
-		out = append(out, vp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Fork clones parent's address space for child using copy-on-write: every
@@ -375,30 +395,29 @@ func (mg *Manager) Fork(parentPID, childPID int) error {
 	if _, ok := mg.spaces[childPID]; ok {
 		return fmt.Errorf("%w: pid %d", ErrSpaceExists, childPID)
 	}
-	// Fault in swapped pages before sharing (sorted: swap-in allocates).
-	for _, vp := range sortedVPages(ps.pt) {
-		if e := ps.pt[vp]; e.swapped {
-			if err := mg.swapIn(parentPID, ps, vp, e); err != nil {
+	// Fault in swapped pages before sharing (in page order: swap-in
+	// allocates).
+	for i := range ps.pt {
+		if e := &ps.pt[i]; e.swapped {
+			if err := mg.swapIn(parentPID, e); err != nil {
 				return err
 			}
 		}
 	}
 	cs := &AddressSpace{
 		pid:    childPID,
-		pt:     make(map[VPage]*pte, len(ps.pt)),
+		vmas:   slices.Clone(ps.vmas),
+		pt:     make([]pte, 0, len(ps.pt)),
 		nextVA: ps.nextVA,
 	}
-	for _, v := range ps.vmas {
-		cs.vmas = append(cs.vmas, &VMA{Start: v.Start, End: v.End, Name: v.Name})
-	}
-	for vp, e := range ps.pt {
+	for i := range ps.pt {
+		e := &ps.pt[i]
 		if !e.present {
 			continue
 		}
 		e.cow = true
 		e.writable = false
-		child := *e
-		cs.pt[vp] = &child
+		cs.pt = append(cs.pt, *e)
 		f := mg.mem.Frame(e.frame)
 		f.RefCount++
 		f.AddMapper(childPID)
@@ -415,8 +434,8 @@ func (mg *Manager) Translate(pid int, addr VAddr) (mem.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	e, ok := s.pt[addr.Page()]
-	if !ok || !e.present {
+	e := s.lookup(addr.Page())
+	if e == nil || !e.present {
 		return 0, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 	}
 	return e.frame.Base() + mem.Addr(addr.Offset()), nil
@@ -430,12 +449,12 @@ func (mg *Manager) Read(pid int, addr VAddr, n int) ([]byte, error) {
 	}
 	out := make([]byte, 0, n)
 	for n > 0 {
-		e, ok := s.pt[addr.Page()]
-		if !ok {
+		e := s.lookup(addr.Page())
+		if e == nil {
 			return nil, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 		}
 		if e.swapped {
-			if err := mg.swapIn(pid, s, addr.Page(), e); err != nil {
+			if err := mg.swapIn(pid, e); err != nil {
 				return nil, err
 			}
 		}
@@ -463,13 +482,12 @@ func (mg *Manager) Write(pid int, addr VAddr, b []byte) error {
 		return err
 	}
 	for len(b) > 0 {
-		vp := addr.Page()
-		e, ok := s.pt[vp]
-		if !ok {
+		e := s.lookup(addr.Page())
+		if e == nil {
 			return fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 		}
 		if e.swapped {
-			if err := mg.swapIn(pid, s, vp, e); err != nil {
+			if err := mg.swapIn(pid, e); err != nil {
 				return err
 			}
 		}
@@ -548,12 +566,12 @@ func (mg *Manager) setLock(pid int, addr VAddr, npages int, locked bool) error {
 	}
 	for i := 0; i < npages; i++ {
 		vp := addr.Page() + VPage(i)
-		e, ok := s.pt[vp]
-		if !ok {
+		e := s.lookup(vp)
+		if e == nil {
 			return fmt.Errorf("%w: pid %d vpage %d", ErrBadAddress, pid, vp)
 		}
 		if e.swapped {
-			if err := mg.swapIn(pid, s, vp, e); err != nil {
+			if err := mg.swapIn(pid, e); err != nil {
 				return err
 			}
 		}
@@ -574,8 +592,8 @@ func (mg *Manager) Mprotect(pid int, addr VAddr, npages int, writable bool) erro
 	}
 	for i := 0; i < npages; i++ {
 		vp := addr.Page() + VPage(i)
-		e, ok := s.pt[vp]
-		if !ok {
+		e := s.lookup(vp)
+		if e == nil {
 			return fmt.Errorf("%w: pid %d vpage %d", ErrBadAddress, pid, vp)
 		}
 		e.userRO = !writable
@@ -589,8 +607,8 @@ func (mg *Manager) IsLocked(pid int, addr VAddr) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	e, ok := s.pt[addr.Page()]
-	if !ok {
+	e := s.lookup(addr.Page())
+	if e == nil {
 		return false, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 	}
 	return e.locked, nil
@@ -612,8 +630,8 @@ func (mg *Manager) SwapOut(pid int, addr VAddr) error {
 	if err != nil {
 		return err
 	}
-	e, ok := s.pt[addr.Page()]
-	if !ok || !e.present {
+	e := s.lookup(addr.Page())
+	if e == nil || !e.present {
 		return fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 	}
 	if e.locked {
@@ -648,7 +666,7 @@ func (mg *Manager) SwapOut(pid int, addr VAddr) error {
 }
 
 // swapIn faults a swapped page back into a fresh frame.
-func (mg *Manager) swapIn(pid int, s *AddressSpace, vp VPage, e *pte) error {
+func (mg *Manager) swapIn(pid int, e *pte) error {
 	content, err := mg.swap.Load(e.swapSlot)
 	if err != nil {
 		return err
@@ -669,7 +687,6 @@ func (mg *Manager) swapIn(pid int, s *AddressSpace, vp VPage, e *pte) error {
 	f := mg.mem.Frame(pn)
 	f.AddMapper(pid)
 	f.Locked = e.locked
-	_ = vp
 	return nil
 }
 
@@ -688,8 +705,8 @@ func (mg *Manager) SwapOutVictims(pid int, n int) (int, error) {
 			if evicted >= n {
 				return evicted, nil
 			}
-			e, ok := s.pt[vp]
-			if !ok || !e.present || e.locked {
+			e := s.lookup(vp)
+			if e == nil || !e.present || e.locked {
 				continue
 			}
 			if mg.mem.Frame(e.frame).RefCount > 1 {
@@ -718,8 +735,8 @@ func (mg *Manager) FrameOf(pid int, addr VAddr) (mem.PageNum, error) {
 	if err != nil {
 		return 0, err
 	}
-	e, ok := s.pt[addr.Page()]
-	if !ok || !e.present {
+	e := s.lookup(addr.Page())
+	if e == nil || !e.present {
 		return 0, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 	}
 	return e.frame, nil
@@ -740,8 +757,8 @@ func (mg *Manager) DumpSpace(pid int, skipLocked bool) ([]byte, error) {
 	zeros := make([]byte, mem.PageSize)
 	for _, v := range s.vmas {
 		for vp := v.Start.Page(); vp < v.End.Page(); vp++ {
-			e, ok := s.pt[vp]
-			if !ok || !e.present {
+			e := s.lookup(vp)
+			if e == nil || !e.present {
 				continue
 			}
 			if skipLocked && e.locked {
@@ -782,11 +799,16 @@ func (mg *Manager) SharedWith(pid int, addr VAddr) (bool, error) {
 //     reference it (non-VM holders may account for more, never fewer).
 //  4. A swapped PTE's slot is in range and in use, and no two PTEs share a
 //     slot (shared pages are never swapped).
+//  5. A page table is sorted by virtual page, with no page twice.
 func (mg *Manager) CheckConsistency() error {
 	mapped := make(map[mem.PageNum]int)
 	slotOwned := make(map[int]bool)
 	for pid, s := range mg.spaces {
-		for vp, e := range s.pt {
+		for i := range s.pt {
+			e, vp := &s.pt[i], s.pt[i].vp
+			if i > 0 && s.pt[i-1].vp >= vp {
+				return fmt.Errorf("vm: pid %d page table out of order at vpage %d", pid, vp)
+			}
 			if e.present && e.swapped {
 				return fmt.Errorf("vm: pid %d vpage %d both present and swapped", pid, vp)
 			}

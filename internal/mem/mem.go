@@ -110,6 +110,11 @@ type Frame struct {
 	RefCount int
 	// Locked marks mlock'd frames which must never be swapped out.
 	Locked bool
+	// zero records that every byte of the frame is known to be zero: set
+	// by New and ZeroPage, cleared by touch. Every content change goes
+	// through touch, so a set bit is always true; a clear bit says
+	// nothing (an all-zero Write leaves the frame zero but clears it).
+	zero bool
 	// gen is the frame's write generation: the value of the memory-wide
 	// mutation counter at the last time any byte of the frame changed.
 	// Incremental scanners compare generations to skip untouched frames.
@@ -150,7 +155,7 @@ func New(numPages int) (*Memory, error) {
 		blockGen: make([]uint64, (numPages+BlockFrames-1)/BlockFrames),
 	}
 	for i := range m.frames {
-		m.frames[i] = Frame{State: FrameFree, Owner: OwnerNone}
+		m.frames[i] = Frame{State: FrameFree, Owner: OwnerNone, zero: true}
 	}
 	return m, nil
 }
@@ -205,6 +210,7 @@ func (m *Memory) touch(addr Addr, n int) {
 	last := (addr + Addr(n) - 1).Page()
 	for pn := addr.Page(); pn <= last; pn++ {
 		m.frames[pn].gen = m.muts
+		m.frames[pn].zero = false
 		m.blockGen[pn>>BlockShift] = m.muts
 	}
 }
@@ -239,13 +245,19 @@ func (m *Memory) Zero(addr Addr, n int) error {
 	return nil
 }
 
-// ZeroPage clears one whole frame (clear_highpage analog).
+// ZeroPage clears one whole frame (clear_highpage analog). A frame already
+// known to be zero is not cleared again, but it is stamped like any other
+// zeroing, so generations and Mutations do not depend on what the frame
+// held.
 func (m *Memory) ZeroPage(pn PageNum) error {
 	if !m.ValidPage(pn) {
 		return fmt.Errorf("mem: zero of invalid page %d", pn)
 	}
-	clear(m.data[pn.Base() : pn.Base()+PageSize])
+	if !m.frames[pn].zero {
+		clear(m.data[pn.Base() : pn.Base()+PageSize])
+	}
 	m.touch(pn.Base(), PageSize)
+	m.frames[pn].zero = true
 	return nil
 }
 

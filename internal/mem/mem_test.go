@@ -520,3 +520,110 @@ func TestQuickBlockGenIsBlockMax(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// plainMemory is the memory model without the known-zero bit: every
+// ZeroPage clears its frame, and every content operation stamps the
+// touched frames with the next mutation count.
+type plainMemory struct {
+	data []byte
+	gens []uint64
+	muts uint64
+}
+
+func (p *plainMemory) stamp(addr Addr, n int) {
+	if n <= 0 {
+		return
+	}
+	p.muts++
+	for pn := addr.Page(); pn <= (addr + Addr(n) - 1).Page(); pn++ {
+		p.gens[pn] = p.muts
+	}
+}
+
+// Property: under random Write/Zero/ZeroPage/CopyPage sequences, every
+// frame whose known-zero bit is set holds only zero bytes, PageIsZero
+// agrees with the bytes for every frame, and contents, Mutations() and
+// every frame's Gen() follow exactly the sequence of a memory that clears
+// on every ZeroPage.
+func TestQuickKnownZeroMatchesPlainMemory(t *testing.T) {
+	const pages = BlockFrames + 3
+	zeros := make([]byte, PageSize)
+	f := func(seed int64) bool {
+		m, err := New(pages)
+		if err != nil {
+			return false
+		}
+		p := &plainMemory{data: make([]byte, pages*PageSize), gens: make([]uint64, pages)}
+		r := rand.New(rand.NewSource(seed))
+		buf := make([]byte, 3*PageSize)
+		for op := 0; op < 200; op++ {
+			pn, src := PageNum(r.Intn(pages)), PageNum(r.Intn(pages))
+			switch r.Intn(6) {
+			case 0, 1:
+				n := r.Intn(len(buf) + 1)
+				addr := Addr(r.Intn(m.Size() - n + 1))
+				b := buf[:n]
+				r.Read(b)
+				if r.Intn(3) == 0 {
+					clear(b) // an all-zero write still clears the bit
+				}
+				err = m.Write(addr, b)
+				copy(p.data[addr:], b)
+				p.stamp(addr, n)
+			case 2:
+				n := r.Intn(2 * PageSize)
+				addr := Addr(r.Intn(m.Size() - n + 1))
+				err = m.Zero(addr, n)
+				clear(p.data[addr : addr+Addr(n)])
+				p.stamp(addr, n)
+			case 3, 4:
+				err = m.ZeroPage(pn)
+				clear(p.data[pn.Base() : pn.Base()+PageSize])
+				p.stamp(pn.Base(), PageSize)
+			case 5:
+				err = m.CopyPage(pn, src)
+				copy(p.data[pn.Base():pn.Base()+PageSize], p.data[src.Base():src.Base()+PageSize])
+				p.stamp(pn.Base(), PageSize)
+			}
+			if err != nil || m.Mutations() != p.muts || !bytes.Equal(m.data, p.data) {
+				return false
+			}
+			for g := PageNum(0); g < pages; g++ {
+				page := m.data[g.Base() : g.Base()+PageSize]
+				isZero := bytes.Equal(page, zeros)
+				if m.frames[g].zero && !isZero || m.PageIsZero(g) != isZero || m.Frame(g).Gen() != p.gens[g] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestZeroPageSkipsKnownZeroFrameButStamps: a second ZeroPage of a zero
+// frame still counts as a mutation and moves the frame's and its block's
+// generation, exactly as the first did.
+func TestZeroPageSkipsKnownZeroFrameButStamps(t *testing.T) {
+	m := mustNew(t, 4)
+	if !m.frames[2].zero {
+		t.Fatal("a fresh frame must be known zero")
+	}
+	for want := uint64(1); want <= 3; want++ {
+		if err := m.ZeroPage(2); err != nil {
+			t.Fatal(err)
+		}
+		if m.Mutations() != want || m.Frame(2).Gen() != want || m.BlockGen(0) != want || !m.frames[2].zero {
+			t.Fatalf("after ZeroPage %d: muts %d gen %d block %d zero %v", want,
+				m.Mutations(), m.Frame(2).Gen(), m.BlockGen(0), m.frames[2].zero)
+		}
+	}
+	if err := m.Write(Addr(2*PageSize+7), []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	if m.frames[2].zero {
+		t.Fatal("a write must clear the known-zero bit")
+	}
+}
